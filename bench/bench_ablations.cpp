@@ -7,8 +7,8 @@
 //   A6 coherent-mode locking overhead
 //   A7 standard vs modified (deferred-close) workflow — the Fig. 3 change
 //
-// Run with --quick for the scaled-down testbed; each ablation pins the
-// parameters the paper used except the one it varies.
+// Flags: --quick for the scaled-down testbed, --files=N (default 4). Each
+// ablation pins the parameters the paper used except the one it varies.
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -60,17 +60,17 @@ ExperimentResult run_case(const Knobs& knobs, CacheCase cache_case,
   return result;
 }
 
-Knobs default_knobs(const bench::BenchOptions& options) {
+Knobs default_knobs(const bench::Options& options) {
   Knobs knobs;
-  knobs.testbed = bench::testbed_for(options);
+  knobs.testbed = bench::testbed_for(options.quick);
   knobs.aggregators = options.quick ? 16 : 64;
   knobs.cb = 4 * MiB;
   knobs.files = options.files;
-  knobs.compute = bench::compute_delay_for(options);
+  knobs.compute = bench::compute_delay_for(options.quick);
   return knobs;
 }
 
-void ablation_filedomains(const bench::BenchOptions& options) {
+void ablation_filedomains(const bench::Options& options) {
   std::printf("\n## A1: file-domain partitioning (even vs stripe-aligned)\n");
   std::printf("%-22s %12s %14s %14s\n", "driver", "BW [GiB/s]", "lock_waits",
               "lock_handoffs");
@@ -102,7 +102,7 @@ void ablation_filedomains(const bench::BenchOptions& options) {
   }
 }
 
-void ablation_flushpolicy(const bench::BenchOptions& options) {
+void ablation_flushpolicy(const bench::Options& options) {
   std::printf("\n## A2: flush policy (immediate vs onclose)\n");
   std::printf("%-22s %12s %18s\n", "e10_cache_flush_flag", "BW [GiB/s]",
               "not_hidden_sync [s]");
@@ -122,7 +122,7 @@ void ablation_flushpolicy(const bench::BenchOptions& options) {
   }
 }
 
-void ablation_syncbuffer(const bench::BenchOptions& options) {
+void ablation_syncbuffer(const bench::Options& options) {
   std::printf("\n## A3: ind_wr_buffer_size (sync staging granularity)\n");
   std::printf("%-22s %12s %18s\n", "ind_wr_buffer_size", "BW [GiB/s]",
               "not_hidden_sync [s]");
@@ -143,7 +143,7 @@ void ablation_syncbuffer(const bench::BenchOptions& options) {
   }
 }
 
-void ablation_aggratio(const bench::BenchOptions& options) {
+void ablation_aggratio(const bench::Options& options) {
   std::printf("\n## A4: aggregator / node ratio vs sync hiding\n");
   std::printf("%-12s %12s %18s %14s\n", "aggregators", "BW [GiB/s]",
               "not_hidden_sync [s]", "TBW [GiB/s]");
@@ -165,7 +165,7 @@ void ablation_aggratio(const bench::BenchOptions& options) {
   }
 }
 
-void ablation_computedelay(const bench::BenchOptions& options) {
+void ablation_computedelay(const bench::Options& options) {
   std::printf("\n## A5: compute delay sweep (Eq. 1 crossover)\n");
   std::printf("%-14s %12s %18s\n", "compute [s]", "BW [GiB/s]",
               "not_hidden_sync [s]");
@@ -184,7 +184,7 @@ void ablation_computedelay(const bench::BenchOptions& options) {
   }
 }
 
-void ablation_coherent(const bench::BenchOptions& options) {
+void ablation_coherent(const bench::Options& options) {
   std::printf("\n## A6: coherent mode (extent locking) overhead\n");
   std::printf("%-12s %12s\n", "e10_cache", "BW [GiB/s]");
   const Knobs knobs = default_knobs(options);
@@ -201,7 +201,7 @@ void ablation_coherent(const bench::BenchOptions& options) {
   }
 }
 
-void ablation_workflow(const bench::BenchOptions& options) {
+void ablation_workflow(const bench::Options& options) {
   std::printf("\n## A7: standard vs modified workflow (Fig. 3)\n");
   std::printf("%-18s %12s %18s\n", "workflow", "BW [GiB/s]",
               "not_hidden_sync [s]");
@@ -226,7 +226,11 @@ void ablation_workflow(const bench::BenchOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = e10::bench::BenchOptions::parse(argc, argv);
+  using namespace e10::bench;
+  Options options;
+  parse_options(argc, argv, 1, kQuick | kFiles,
+                "usage: bench_ablations " + flag_list(kQuick | kFiles),
+                options);
   std::printf("## Ablations%s\n", options.quick ? " [QUICK scale]" : "");
   ablation_filedomains(options);
   ablation_flushpolicy(options);

@@ -1,24 +1,51 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <map>
+#include <string_view>
 
 #include "fault/fault_plan.h"
-#include "obs/report.h"
 
 namespace e10::bench {
 
 using namespace e10::units;
 using workloads::CacheCase;
-using workloads::ExperimentResult;
-using workloads::ExperimentSpec;
 
 namespace {
 
-void split_list(const std::string& list, std::vector<std::string>& out) {
+/// Every flag a driver can accept: its usage form and its bit. The name is
+/// the form up to '=' or '['; '=' means the flag takes a value, '[' that
+/// the value is optional.
+struct FlagForm {
+  const char* form;
+  Flag flag;
+};
+
+constexpr FlagForm kFlags[] = {
+    {"--quick", kQuick},
+    {"--files=N", kFiles},
+    {"--combos=A_Bm,...", kCombos},
+    {"--cases=disabled|enabled|theoretical,...", kCases},
+    {"--rpn=N,...", kRpn},
+    {"--no-breakdown", kNoBreakdown},
+    {"--trace=PATH", kTrace},
+    {"--report=PATH", kReport},
+    {"--critical-path[=PATH]", kCriticalPath},
+    {"--summary=PATH", kSummary},
+    {"--recorded=DATE", kSummary},
+    {"--faults=SPEC", kFaults},
+    {"--check-concurrency", kCheckConcurrency},
+    {"--pipeline=on|off", kKnobs},
+    {"--sync-streams=N", kKnobs},
+    {"--coalesce=on|off", kKnobs},
+    {"--two-level=on|off", kKnobs},
+};
+
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> out;
   std::size_t pos = 0;
   while (pos != std::string::npos) {
     const std::size_t comma = list.find(',', pos);
@@ -27,105 +54,137 @@ void split_list(const std::string& list, std::vector<std::string>& out) {
     if (!item.empty()) out.push_back(item);
     pos = comma == std::string::npos ? comma : comma + 1;
   }
+  return out;
+}
+
+/// A positive decimal count, or a usage error naming `flag`.
+int parse_count(const std::string& flag, const std::string& value,
+                const std::string& usage) {
+  errno = 0;
+  char* end = nullptr;
+  const long count = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno != 0 || count < 1 ||
+      count > INT_MAX) {
+    usage_error(flag + ": expected a positive count, got '" + value + "'",
+                usage);
+  }
+  return static_cast<int>(count);
+}
+
+bool parse_switch(const std::string& flag, const std::string& value,
+                  const std::string& usage) {
+  if (value != "on" && value != "off") {
+    usage_error(flag + ": expected on or off, got '" + value + "'", usage);
+  }
+  return value == "on";
 }
 
 }  // namespace
 
-BenchOptions BenchOptions::parse(int argc, char** argv) {
-  BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
+void usage_error(const std::string& message, const std::string& usage) {
+  std::fprintf(stderr, "%s\n%s\n", message.c_str(), usage.c_str());
+  std::exit(2);
+}
+
+std::string flag_list(unsigned accepted) {
+  std::string out;
+  for (const FlagForm& f : kFlags) {
+    if ((accepted & f.flag) == 0) continue;
+    if (!out.empty()) out += ' ';
+    out += f.form;
+  }
+  return out;
+}
+
+void parse_options(int argc, char** argv, int first, unsigned accepted,
+                   const std::string& usage, Options& options) {
+  for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--quick") {
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const FlagForm* form = nullptr;
+    for (const FlagForm& f : kFlags) {
+      const std::string_view known(f.form);
+      if (known.starts_with(name) &&
+          (known.size() == name.size() || known[name.size()] == '=' ||
+           known[name.size()] == '[')) {
+        form = &f;
+      }
+    }
+    if (form == nullptr) usage_error("unknown flag: " + arg, usage);
+    if ((accepted & form->flag) == 0) {
+      usage_error(name + " does not apply here", usage);
+    }
+    const char syntax = form->form[name.size()];
+    if ((syntax == '=') != (eq != std::string::npos) && syntax != '[') {
+      usage_error(syntax == '=' ? name + " needs a value"
+                                : name + " takes no value",
+                  usage);
+    }
+
+    if (name == "--quick") {
       options.quick = true;
-    } else if (arg == "--no-breakdown") {
+    } else if (name == "--no-breakdown") {
       options.breakdown = false;
-    } else if (arg.starts_with("--files=")) {
-      options.files = std::stoi(arg.substr(8));
-    } else if (arg.starts_with("--trace=")) {
-      options.trace_path = arg.substr(8);
-    } else if (arg.starts_with("--report=")) {
-      options.report_path = arg.substr(9);
-    } else if (arg == "--critical-path") {
+    } else if (name == "--files") {
+      options.files = parse_count(name, value, usage);
+    } else if (name == "--trace") {
+      options.trace_path = value;
+    } else if (name == "--report") {
+      options.report_path = value;
+    } else if (name == "--critical-path") {
       options.critical_path = true;
-    } else if (arg.starts_with("--critical-path=")) {
-      options.critical_path = true;
-      options.critical_path_path = arg.substr(16);
-    } else if (arg.starts_with("--combos=")) {
-      split_list(arg.substr(9), options.combos);
-    } else if (arg.starts_with("--cases=")) {
-      split_list(arg.substr(8), options.cases);
-      for (const std::string& name : options.cases) {
-        if (name != "disabled" && name != "enabled" && name != "theoretical") {
-          std::fprintf(stderr,
-                       "--cases: unknown case '%s' (expected disabled, "
-                       "enabled or theoretical)\n",
-                       name.c_str());
-          std::exit(2);
+      options.critical_path_path = value;
+    } else if (name == "--summary") {
+      options.summary_path = value;
+    } else if (name == "--recorded") {
+      options.recorded = value;
+    } else if (name == "--combos") {
+      options.combos = split_list(value);
+    } else if (name == "--cases") {
+      options.cases = split_list(value);
+      for (const std::string& c : options.cases) {
+        if (c != "disabled" && c != "enabled" && c != "theoretical") {
+          usage_error("--cases: unknown case '" + c +
+                          "' (expected disabled, enabled or theoretical)",
+                      usage);
         }
       }
-    } else if (arg == "--check-concurrency") {
+    } else if (name == "--rpn") {
+      options.rpn.clear();
+      for (const std::string& item : split_list(value)) {
+        options.rpn.push_back(
+            static_cast<std::size_t>(parse_count(name, item, usage)));
+      }
+      if (options.rpn.empty()) usage_error("--rpn: empty list", usage);
+    } else if (name == "--check-concurrency") {
       options.check_concurrency = true;
-    } else if (arg.starts_with("--pipeline=")) {
-      const std::string value = arg.substr(11);
-      if (value == "on") {
-        options.pipeline = true;
-      } else if (value == "off") {
-        options.pipeline = false;
-      } else {
-        std::fprintf(stderr, "--pipeline: expected on or off, got '%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
-    } else if (arg.starts_with("--sync-streams=")) {
-      options.sync_streams = std::stoi(arg.substr(15));
-      if (options.sync_streams < 1) {
-        std::fprintf(stderr, "--sync-streams: expected a positive count\n");
-        std::exit(2);
-      }
-    } else if (arg.starts_with("--coalesce=")) {
-      const std::string value = arg.substr(11);
-      if (value == "on") {
-        options.coalesce = true;
-      } else if (value == "off") {
-        options.coalesce = false;
-      } else {
-        std::fprintf(stderr, "--coalesce: expected on or off, got '%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
-    } else if (arg.starts_with("--two-level=")) {
-      const std::string value = arg.substr(12);
-      if (value == "on") {
-        options.two_level = true;
-      } else if (value == "off") {
-        options.two_level = false;
-      } else {
-        std::fprintf(stderr, "--two-level: expected on or off, got '%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
-    } else if (arg.starts_with("--faults=")) {
-      options.faults_spec = arg.substr(9);
+    } else if (name == "--pipeline") {
+      options.pipeline = parse_switch(name, value, usage);
+    } else if (name == "--sync-streams") {
+      options.sync_streams = parse_count(name, value, usage);
+    } else if (name == "--coalesce") {
+      options.coalesce = parse_switch(name, value, usage);
+    } else if (name == "--two-level") {
+      options.two_level = parse_switch(name, value, usage);
+    } else if (name == "--faults") {
       // Validate up front so a typo fails before any experiment runs.
-      if (const auto plan = fault::FaultPlan::parse(options.faults_spec);
-          !plan.is_ok()) {
-        std::fprintf(stderr, "--faults: %s\n",
-                     plan.status().message().c_str());
-        std::exit(2);
+      if (const auto plan = fault::FaultPlan::parse(value); !plan.is_ok()) {
+        usage_error("--faults: " + plan.status().message(), usage);
       }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      options.faults_spec = value;
     }
   }
-  return options;
 }
 
-bool BenchOptions::combo_selected(const std::string& label) const {
-  if (combos.empty()) return true;
-  return std::find(combos.begin(), combos.end(), label) != combos.end();
+bool Options::combo_selected(const std::string& label) const {
+  return combos.empty() ||
+         std::find(combos.begin(), combos.end(), label) != combos.end();
 }
 
-bool BenchOptions::case_selected(CacheCase cache_case) const {
+bool Options::case_selected(CacheCase cache_case) const {
   if (cases.empty()) return true;
   const char* name = nullptr;
   switch (cache_case) {
@@ -136,17 +195,17 @@ bool BenchOptions::case_selected(CacheCase cache_case) const {
   return std::find(cases.begin(), cases.end(), name) != cases.end();
 }
 
-workloads::TestbedParams testbed_for(const BenchOptions& options) {
+workloads::TestbedParams testbed_for(bool quick) {
   workloads::TestbedParams testbed = workloads::deep_er_testbed();
-  if (options.quick) {
+  if (quick) {
     testbed.compute_nodes = 16;
     testbed.ranks_per_node = 4;  // 64 ranks
   }
   return testbed;
 }
 
-std::vector<std::pair<int, Offset>> sweep_for(const BenchOptions& options) {
-  if (!options.quick) return workloads::paper_sweep();
+std::vector<std::pair<int, Offset>> sweep_for(bool quick) {
+  if (!quick) return workloads::paper_sweep();
   // Quarter-scale aggregator counts at 64 ranks / 16 nodes.
   std::vector<std::pair<int, Offset>> sweep;
   for (const int aggregators : {2, 4, 8, 16}) {
@@ -157,305 +216,10 @@ std::vector<std::pair<int, Offset>> sweep_for(const BenchOptions& options) {
   return sweep;
 }
 
-Time compute_delay_for(const BenchOptions& options) {
+Time compute_delay_for(bool quick) {
   // Paper: 30 s, "in most cases enough to hide the synchronisation time".
   // Quick scale moves 1/8 of the data, so scale the delay accordingly.
-  return options.quick ? units::seconds_f(3.75) : seconds(30);
-}
-
-std::vector<ExperimentResult> run_figure(const FigureSpec& figure,
-                                         const BenchOptions& options) {
-  std::vector<ExperimentResult> results;
-  const auto sweep = sweep_for(options);
-  std::printf("## %s: %s%s\n", figure.figure.c_str(),
-              figure.benchmark.c_str(), options.quick ? " [QUICK scale]" : "");
-  std::fflush(stdout);
-
-  fault::FaultPlan fault_plan;
-  if (!options.faults_spec.empty()) {
-    // Already validated by parse(); re-parse to get the plan.
-    fault_plan = fault::FaultPlan::parse(options.faults_spec).value();
-    std::printf("fault scenario: %s\n", fault_plan.summary().c_str());
-    std::fflush(stdout);
-  }
-
-  bool trace_pending = !options.trace_path.empty();
-  // Prefer tracing a cache-enabled run (the case the paper's pipeline is
-  // about), but only when that case is actually selected — --trace must
-  // compose with --cases=disabled.
-  const bool prefer_enabled = options.case_selected(CacheCase::enabled);
-  for (const CacheCase cache_case :
-       {CacheCase::disabled, CacheCase::enabled, CacheCase::theoretical}) {
-    if (!options.case_selected(cache_case)) continue;
-    for (const auto& [aggregators, cb] : sweep) {
-      ExperimentSpec spec;
-      spec.faults = fault_plan;
-      spec.testbed = testbed_for(options);
-      spec.aggregators = aggregators;
-      spec.cb_buffer_size = cb;
-      spec.cache_case = cache_case;
-      spec.pipeline = options.pipeline;
-      spec.sync_streams = options.sync_streams;
-      spec.flush_coalesce = options.coalesce;
-      spec.two_level = options.two_level;
-      spec.workflow.base_path = "/pfs/" + figure.benchmark;
-      spec.workflow.num_files = options.files;
-      spec.workflow.compute_delay = compute_delay_for(options);
-      spec.workflow.include_last_phase = figure.include_last_phase;
-      spec.check_concurrency = options.check_concurrency;
-      if (!options.combo_selected(workloads::combo_label(spec))) continue;
-      // Trace exactly one run (tracing every run would be huge); the
-      // critical-path analyzer is cheap and runs on all of them.
-      spec.trace = trace_pending &&
-                   (cache_case == CacheCase::enabled || !prefer_enabled);
-      spec.critical_path = options.critical_path;
-      ExperimentResult result =
-          workloads::run_experiment(spec, figure.factory);
-      if (spec.trace) {
-        trace_pending = false;
-        std::ofstream out(options.trace_path);
-        out << result.trace_json;
-        if (!out) {
-          std::fprintf(stderr, "  failed to write trace to %s\n",
-                       options.trace_path.c_str());
-        } else {
-          std::fprintf(stderr, "  trace for %s written to %s\n",
-                       result.combo.c_str(), options.trace_path.c_str());
-        }
-      }
-      std::fprintf(stderr, "  done %s %s: %.2f GiB/s\n",
-                   workloads::to_string(cache_case), result.combo.c_str(),
-                   result.bandwidth_gib);
-      if (options.critical_path) {
-        std::fprintf(stderr,
-                     "  critical path: bottleneck=%s attributed=%.1f%%\n",
-                     result.bottleneck.c_str(),
-                     result.attributed_fraction * 100.0);
-      }
-      if ((spec.trace || spec.critical_path) && result.trace_open_spans > 0) {
-        std::fprintf(stderr, "  WARNING: %zu trace span(s) left open\n",
-                     result.trace_open_spans);
-      }
-      if (options.check_concurrency) {
-        std::fprintf(stderr,
-                     "  concurrency: %zu races, %zu lock-order cycles "
-                     "(%zu shared accesses checked)\n",
-                     result.analysis_races, result.analysis_cycles,
-                     result.analysis_shared_accesses);
-      }
-      results.push_back(std::move(result));
-    }
-  }
-
-  print_bandwidth_table(figure.benchmark + " perceived write bandwidth",
-                        results);
-  if (options.breakdown) {
-    print_breakdown_table(figure.benchmark + " breakdown, cache enabled",
-                          CacheCase::enabled, results);
-    print_breakdown_table(figure.benchmark + " breakdown, cache disabled",
-                          CacheCase::disabled, results);
-    print_sync_table(figure.benchmark + " background sync, cache enabled",
-                     results);
-    print_tail_table(figure.benchmark + " phase tails, cache enabled",
-                     CacheCase::enabled, results);
-    print_tail_table(figure.benchmark + " phase tails, cache disabled",
-                     CacheCase::disabled, results);
-  }
-  if (options.critical_path) {
-    print_critical_path_summary(figure.benchmark + " critical path", results);
-    if (!results.empty() && !results.front().critical_path_text.empty()) {
-      const ExperimentResult& first = results.front();
-      std::printf("\n### %s critical path detail (%s %s)\n",
-                  figure.benchmark.c_str(),
-                  workloads::to_string(first.cache_case), first.combo.c_str());
-      std::fputs(first.critical_path_text.c_str(), stdout);
-      std::fflush(stdout);
-    }
-    if (!options.critical_path_path.empty()) {
-      obs::Json sections = obs::Json::array();
-      for (const ExperimentResult& r : results) {
-        if (r.critical_path.is_null()) continue;
-        obs::Json entry = obs::Json::object();
-        entry.set("combo", obs::Json::str(r.combo));
-        entry.set("cache_case",
-                  obs::Json::str(workloads::to_string(r.cache_case)));
-        entry.set("critical_path", r.critical_path);
-        sections.push(std::move(entry));
-      }
-      if (const Status s =
-              obs::write_json_file(options.critical_path_path, sections);
-          !s.is_ok()) {
-        std::fprintf(stderr, "  failed to write critical path to %s: %s\n",
-                     options.critical_path_path.c_str(),
-                     s.message().c_str());
-      } else {
-        std::fprintf(stderr, "  critical path written to %s\n",
-                     options.critical_path_path.c_str());
-      }
-    }
-  }
-  if (options.check_concurrency) {
-    std::size_t races = 0;
-    std::size_t cycles = 0;
-    for (const ExperimentResult& r : results) {
-      races += r.analysis_races;
-      cycles += r.analysis_cycles;
-    }
-    std::printf(
-        "\n### concurrency analysis: %zu races, %zu lock-order cycles "
-        "across %zu runs\n",
-        races, cycles, results.size());
-    std::fflush(stdout);
-  }
-  if (!options.report_path.empty()) {
-    obs::Json report = obs::Json::array();
-    for (const ExperimentResult& r : results) report.push(r.report);
-    if (const Status s = obs::write_json_file(options.report_path, report);
-        !s.is_ok()) {
-      std::fprintf(stderr, "  failed to write report to %s: %s\n",
-                   options.report_path.c_str(), s.message().c_str());
-    } else {
-      std::fprintf(stderr, "  report written to %s\n",
-                   options.report_path.c_str());
-    }
-  }
-  return results;
-}
-
-void print_bandwidth_table(const std::string& title,
-                           const std::vector<ExperimentResult>& results) {
-  // Rows: combos in sweep order; columns: the three cases.
-  std::vector<std::string> combos;
-  for (const ExperimentResult& r : results) {
-    if (std::find(combos.begin(), combos.end(), r.combo) == combos.end()) {
-      combos.push_back(r.combo);
-    }
-  }
-  std::printf("\n### %s [GiB/s]\n", title.c_str());
-  std::printf("%-10s %18s %18s %18s\n", "combo", "BW_cache_disable",
-              "BW_cache_enable", "TBW_cache_enable");
-  for (const std::string& combo : combos) {
-    double bw[3] = {0, 0, 0};
-    for (const ExperimentResult& r : results) {
-      if (r.combo == combo) {
-        bw[static_cast<int>(r.cache_case)] = r.bandwidth_gib;
-      }
-    }
-    std::printf("%-10s %18.2f %18.2f %18.2f\n", combo.c_str(), bw[0], bw[1],
-                bw[2]);
-  }
-  std::fflush(stdout);
-}
-
-void print_breakdown_table(const std::string& title, CacheCase cache_case,
-                           const std::vector<ExperimentResult>& results) {
-  static constexpr prof::Phase kShown[] = {
-      prof::Phase::offset_exchange, prof::Phase::shuffle_intra,
-      prof::Phase::shuffle_all2all, prof::Phase::shuffle_inter,
-      prof::Phase::exchange,        prof::Phase::write_contig,
-      prof::Phase::post_write,      prof::Phase::not_hidden_sync,
-  };
-  std::printf("\n### %s [s, max over ranks]\n", title.c_str());
-  std::printf("%-10s", "combo");
-  for (const prof::Phase phase : kShown) {
-    std::printf(" %16s", prof::phase_name(phase));
-  }
-  std::printf("\n");
-  for (const ExperimentResult& r : results) {
-    if (r.cache_case != cache_case) continue;
-    std::printf("%-10s", r.combo.c_str());
-    for (const prof::Phase phase : kShown) {
-      std::printf(" %16.3f", units::to_seconds(r.breakdown.at(phase)));
-    }
-    std::printf("\n");
-  }
-  std::fflush(stdout);
-}
-
-void print_sync_table(const std::string& title,
-                      const std::vector<ExperimentResult>& results) {
-  std::printf("\n### %s\n", title.c_str());
-  std::printf("%-10s %10s %12s %10s %10s %10s %10s %10s %10s %10s\n", "combo",
-              "requests", "synced_gib", "chunks", "queue_hwm", "busy_s",
-              "overlap", "coalesce", "drain_gib", "stream_ovl");
-  for (const ExperimentResult& r : results) {
-    if (r.cache_case != CacheCase::enabled) continue;
-    std::printf(
-        "%-10s %10llu %12.2f %10llu %10llu %10.3f %10.3f %10.2f %10.2f "
-        "%10.3f\n",
-        r.combo.c_str(), static_cast<unsigned long long>(r.sync.requests),
-        static_cast<double>(r.sync.bytes_synced) / static_cast<double>(GiB),
-        static_cast<unsigned long long>(r.sync.staging_chunks),
-        static_cast<unsigned long long>(r.sync.queue_depth_high_water),
-        units::to_seconds(r.sync.busy_time), r.flush_overlap_ratio,
-        r.sync_coalesce_ratio, r.sync_flush_bandwidth_gib,
-        r.sync_stream_overlap_ratio);
-  }
-  std::fflush(stdout);
-}
-
-void print_tail_table(const std::string& title, CacheCase cache_case,
-                      const std::vector<ExperimentResult>& results) {
-  static constexpr prof::Phase kShown[] = {
-      prof::Phase::shuffle_intra,   prof::Phase::shuffle_all2all,
-      prof::Phase::shuffle_inter,   prof::Phase::exchange,
-      prof::Phase::write_contig,    prof::Phase::flush_wait,
-      prof::Phase::not_hidden_sync,
-  };
-  std::printf("\n### %s [s, over ranks]\n", title.c_str());
-  std::printf("%-10s %-18s %10s %10s %10s %10s\n", "combo", "phase", "p50",
-              "p95", "p99", "max");
-  for (const ExperimentResult& r : results) {
-    if (r.cache_case != cache_case) continue;
-    const obs::Json* phases = r.report.find("phases");
-    if (phases == nullptr) continue;
-    for (const prof::Phase phase : kShown) {
-      const obs::Json* row = phases->find(prof::phase_name(phase));
-      if (row == nullptr) continue;
-      const auto stat = [&](const char* key) {
-        const obs::Json* value = row->find(key);
-        return value == nullptr ? 0.0 : value->as_number();
-      };
-      std::printf("%-10s %-18s %10.3f %10.3f %10.3f %10.3f\n",
-                  r.combo.c_str(), prof::phase_name(phase), stat("p50_s"),
-                  stat("p95_s"), stat("p99_s"), stat("max_s"));
-    }
-  }
-  std::fflush(stdout);
-}
-
-void print_critical_path_summary(
-    const std::string& title, const std::vector<ExperimentResult>& results) {
-  static constexpr const char* kCategories[] = {
-      "shuffle", "write", "flush", "lock_wait", "nic_contention", "idle",
-  };
-  std::printf("\n### %s [fraction of end-to-end time]\n", title.c_str());
-  std::printf("%-10s %-18s %-14s %10s", "combo", "case", "bottleneck",
-              "attributed");
-  for (const char* category : kCategories) std::printf(" %14s", category);
-  std::printf("\n");
-  for (const ExperimentResult& r : results) {
-    if (r.critical_path.is_null()) continue;
-    std::printf("%-10s %-18s %-14s %9.1f%%", r.combo.c_str(),
-                workloads::to_string(r.cache_case), r.bottleneck.c_str(),
-                r.attributed_fraction * 100.0);
-    const obs::Json* categories = r.critical_path.find("categories");
-    for (const char* category : kCategories) {
-      double fraction = 0.0;
-      if (categories != nullptr) {
-        if (const obs::Json* entry = categories->find(category);
-            entry != nullptr) {
-          if (const obs::Json* value = entry->find("fraction");
-              value != nullptr) {
-            fraction = value->as_number();
-          }
-        }
-      }
-      std::printf(" %14.3f", fraction);
-    }
-    std::printf("\n");
-  }
-  std::fflush(stdout);
+  return quick ? units::seconds_f(3.75) : seconds(30);
 }
 
 }  // namespace e10::bench

@@ -1,134 +1,81 @@
-// Shared harness for the figure-reproduction benches.
+// Option parser and scale rules shared by bench_sweep and bench_ablations.
 //
-// Every figure bench sweeps the paper's <aggregators>_<coll_bufsize> combos
-// for the three cases (BW cache disable / BW cache enable / TBW cache
-// enable) and prints (a) the perceived-bandwidth table (Figs. 4/7/9) and
-// (b) the collective I/O time breakdown (Figs. 5/6/8/10).
-//
-// Flags:
-//   --quick            scaled-down run (64 ranks, 1/8 data) for smoke tests
-//   --combos=a_bm,...  restrict to a subset, e.g. --combos=64_4m,8_4m
-//   --files=N          number of files per experiment (paper: 4)
-//   --no-breakdown     skip the breakdown tables
-//   --trace=PATH       Chrome trace of one run: the first cache-enabled run
-//                      when that case is selected, else the first run (so it
-//                      composes with --cases=disabled)
-//   --report=PATH      machine-readable run report (JSON array, one entry
-//                      per experiment: config + phases + metrics + derived)
-//   --critical-path[=PATH]
-//                      run the causal critical-path analyzer on every run:
-//                      prints the per-run bottleneck summary, the full
-//                      attribution table for the first analyzed run and a
-//                      per-phase tail-latency table; with =PATH also writes
-//                      a JSON array of the per-run critical_path sections.
-//                      See docs/observability.md.
-//   --cases=a,b        restrict the cache cases, e.g. --cases=enabled
-//                      (disabled | enabled | theoretical)
-//   --faults=SPEC      arm a fault scenario on every run; SPEC is the
-//                      FaultPlan grammar, e.g.
-//                      "pfs_write=0.01/timed_out; outage=1@2s-4s; seed=7"
-//   --check-concurrency
-//                      attach the concurrency checker to every run (lockset
-//                      race detection + lock-order cycle analysis); findings
-//                      are printed per run and land in the report's
-//                      "analysis" section. See docs/static_analysis.md.
-//   --pipeline=on|off  double-buffer the collective write's round loop
-//                      (default on); off restores the classic synchronous
-//                      ext2ph round loop for ablations. See
-//                      docs/pipeline.md.
-//   --sync-streams=N   concurrent in-flight flush streams per sync thread
-//                      (default 4); 1 restores the serial read-back→write
-//                      drain. See docs/flush_scheduler.md.
-//   --coalesce=on|off  coalesce adjacent queued sync requests into shared
-//                      stripe-aligned flush dispatches (default on); off
-//                      flushes each request separately for ablations.
-//   --two-level=on|off two-level collective-write exchange (default off):
-//                      intra-node gather to per-node leaders before a
-//                      leaders-only inter-node exchange. See
-//                      docs/two_level.md.
+// Each driver passes parse_options the set of flags it honors. An unknown
+// flag, a flag outside that set or a malformed value prints the driver's
+// usage text and exits 2 before anything runs.
 #pragma once
 
-#include <cstdio>
-#include <optional>
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workloads/experiment.h"
-#include "workloads/model.h"
 
 namespace e10::bench {
 
-struct BenchOptions {
-  bool quick = false;
-  bool breakdown = true;
-  int files = 4;
-  std::vector<std::string> combos;  // empty = all
-  std::vector<std::string> cases;   // empty = all three cache cases
-  std::string trace_path;           // empty = no trace
-  std::string report_path;          // empty = no report
-  bool critical_path = false;       // analyze the critical path of each run
-  std::string critical_path_path;   // empty = tables only, no JSON file
-  std::string faults_spec;          // empty = no fault scenario
-  bool check_concurrency = false;   // attach the concurrency checker
-  bool pipeline = true;             // double-buffered round loop
-  int sync_streams = 4;             // in-flight flush streams per sync thread
-  bool coalesce = true;             // coalesce adjacent sync requests
-  bool two_level = false;           // two-level collective-write exchange
+/// One bit per flag (or flag family); a driver accepts a union of them.
+enum Flag : unsigned {
+  kQuick = 1u << 0,             // --quick
+  kFiles = 1u << 1,             // --files=N
+  kCombos = 1u << 2,            // --combos=A_Bm,...
+  kCases = 1u << 3,             // --cases=CASE,...
+  kRpn = 1u << 4,               // --rpn=N,...
+  kNoBreakdown = 1u << 5,       // --no-breakdown
+  kTrace = 1u << 6,             // --trace=PATH
+  kReport = 1u << 7,            // --report=PATH
+  kCriticalPath = 1u << 8,      // --critical-path[=PATH]
+  kSummary = 1u << 9,           // --summary=PATH --recorded=DATE
+  kFaults = 1u << 10,           // --faults=SPEC
+  kCheckConcurrency = 1u << 11, // --check-concurrency
+  kKnobs = 1u << 12,  // --pipeline= --sync-streams= --coalesce= --two-level=
+};
 
-  static BenchOptions parse(int argc, char** argv);
+struct Options {
+  bool quick = false;              // 64 ranks, 1/8 data
+  bool breakdown = true;           // print the breakdown/sync/tail tables
+  int files = 4;                   // files per experiment
+  std::vector<std::string> combos; // empty = the whole sweep
+  std::vector<std::string> cases;  // empty = all three cache cases
+  std::vector<std::size_t> rpn = {2, 8, 16};  // ranks per node
+  std::string trace_path;          // empty = no trace
+  std::string report_path;         // empty = no report
+  bool critical_path = false;      // analyze every run's critical path
+  std::string critical_path_path;  // empty = tables only
+  std::string summary_path;        // empty = no summary document
+  std::string recorded;            // "recorded" stamp of the summary
+  std::string faults_spec;         // empty = no fault scenario
+  bool check_concurrency = false;  // attach the concurrency checker
+  bool pipeline = true;            // double-buffered round loop
+  int sync_streams = 4;            // in-flight flush streams per sync thread
+  bool coalesce = true;            // coalesce adjacent sync requests
+  bool two_level = false;          // two-level collective-write exchange
+
   bool combo_selected(const std::string& label) const;
   bool case_selected(workloads::CacheCase cache_case) const;
 };
 
-struct FigureSpec {
-  std::string benchmark;     // "coll_perf", "flash_io", "ior"
-  std::string figure;        // "Fig. 4" etc.
-  bool include_last_phase = false;
-  workloads::WorkloadFactory factory;
-};
+/// Parses argv[first, argc) into `options`, which holds the caller's
+/// defaults; a list flag replaces its default. Exits 2 with `usage` on
+/// any flag outside `accepted` or any malformed value.
+void parse_options(int argc, char** argv, int first, unsigned accepted,
+                   const std::string& usage, Options& options);
 
-/// Runs the full sweep for one benchmark and prints the tables. Returns the
-/// results for further processing.
-std::vector<workloads::ExperimentResult> run_figure(
-    const FigureSpec& figure, const BenchOptions& options);
+/// The flags in `accepted`, as a usage line fragment.
+std::string flag_list(unsigned accepted);
 
-/// Aggregator/cb sweep adapted to the scale (paper combos at 512 ranks;
-/// proportionally smaller at --quick scale).
-std::vector<std::pair<int, Offset>> sweep_for(const BenchOptions& options);
+/// Prints `message` and `usage` to stderr and exits 2.
+[[noreturn]] void usage_error(const std::string& message,
+                              const std::string& usage);
 
-/// The testbed for the selected scale.
-workloads::TestbedParams testbed_for(const BenchOptions& options);
+/// Paper testbed (512 ranks on 64 nodes), or 64 ranks on 16 nodes.
+workloads::TestbedParams testbed_for(bool quick);
 
-/// Compute delay used between files (30 s at paper scale).
-Time compute_delay_for(const BenchOptions& options);
+/// The paper's aggregator x cb sweep, with quarter-scale aggregator counts
+/// at --quick.
+std::vector<std::pair<int, Offset>> sweep_for(bool quick);
 
-void print_bandwidth_table(
-    const std::string& title,
-    const std::vector<workloads::ExperimentResult>& results);
-
-void print_breakdown_table(
-    const std::string& title, workloads::CacheCase cache_case,
-    const std::vector<workloads::ExperimentResult>& results);
-
-/// Sync-thread totals per combo (cache-enabled runs only): requests, bytes,
-/// staging dispatches, queue high-water mark, busy time, flush-overlap
-/// ratio, plus the flush-scheduler figures (coalesce ratio, drain
-/// bandwidth, stream overlap).
-void print_sync_table(
-    const std::string& title,
-    const std::vector<workloads::ExperimentResult>& results);
-
-/// Per-phase tail latencies (p50/p95/p99/max over ranks, from the run
-/// report's phase table) for one cache case — the straggler signature the
-/// max-only breakdown hides.
-void print_tail_table(
-    const std::string& title, workloads::CacheCase cache_case,
-    const std::vector<workloads::ExperimentResult>& results);
-
-/// One row per analyzed run: bottleneck category, attributed fraction and
-/// the per-category split of the end-to-end critical path.
-void print_critical_path_summary(
-    const std::string& title,
-    const std::vector<workloads::ExperimentResult>& results);
+/// Compute delay between files: the paper's 30 s, 1/8 of it at --quick.
+Time compute_delay_for(bool quick);
 
 }  // namespace e10::bench

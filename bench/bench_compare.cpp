@@ -1,10 +1,10 @@
 // bench_compare: the never-slower perf gate.
 //
-// Diffs two performance documents (bench --report= run-report arrays or
-// checked-in results/BENCH_*.json files) point by point and fails when any
-// point regressed beyond the threshold, with per-phase attribution of where
-// the lost time went. CI runs this against the checked-in baselines in
-// results/ci/ after every smoke run; see docs/observability.md.
+// Diffs two performance documents (bench_sweep --report= run-report arrays
+// or checked-in results/BENCH_*.json files) point by point and fails when
+// any point regressed beyond the threshold, with per-phase attribution of
+// where the lost time went. The gate.* ctest cases run this against the
+// checked-in baselines in results/ci/; see docs/observability.md.
 //
 // Usage:
 //   bench_compare [--threshold=0.02] [--strict-checksums] BASELINE CANDIDATE

@@ -3,27 +3,16 @@
 // the requesting ranks. Reads never touch the cache tier (§III-B); coherent
 // mode blocks on in-transit extents inside read_contig.
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 #include "adio/adio_file.h"
+#include "adio/coll_common.h"
 #include "adio/pipeline.h"
 #include "adio/round_plan.h"
 
 namespace e10::adio {
 
 namespace {
-
-constexpr Offset kNoOffset = std::numeric_limits<Offset>::max();
-
-Status agree_status(const mpi::Comm& comm, const Status& mine) {
-  const int code = static_cast<int>(mine.code());
-  const int worst =
-      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
-  if (worst == 0) return Status::ok();
-  if (code == worst) return mine;
-  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
-}
 
 /// A rank's request for part of an aggregator's round window.
 struct ReadChunk {

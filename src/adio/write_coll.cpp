@@ -26,11 +26,11 @@
 // two-level rounds have no collective synchronisation at all. The flag
 // off takes the flat path below, bit for bit.
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <utility>
 
 #include "adio/adio_file.h"
+#include "adio/coll_common.h"
 #include "adio/pipeline.h"
 #include "adio/round_plan.h"
 #include "common/log.h"
@@ -38,18 +38,6 @@
 namespace e10::adio {
 
 namespace {
-
-constexpr Offset kNoOffset = std::numeric_limits<Offset>::max();
-
-/// Collective error agreement (same rule as ROMIO's error exchange).
-Status agree_status(const mpi::Comm& comm, const Status& mine) {
-  const int code = static_cast<int>(mine.code());
-  const int worst =
-      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
-  if (worst == 0) return Status::ok();
-  if (code == worst) return mine;
-  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
-}
 
 std::vector<mpi::IoPiece> sorted_by_offset(std::vector<mpi::IoPiece> pieces) {
   std::sort(pieces.begin(), pieces.end(),

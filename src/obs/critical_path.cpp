@@ -4,9 +4,6 @@
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <unordered_map>
-
-#include "prof/profiler.h"
 
 namespace e10::obs {
 
@@ -395,66 +392,6 @@ void fill_rank_skew(const Tracer& tracer, CriticalPathReport& report) {
   }
 }
 
-/// Phase groups the consistency check compares (exact PhaseScope names, so
-/// the trace and profiler see the same intervals).
-struct PhaseGroup {
-  const char* name;
-  std::vector<const char*> spans;
-  std::vector<prof::Phase> phases;
-};
-
-void fill_consistency(const Tracer& tracer, const prof::Profiler* profiler,
-                      CriticalPathReport& report) {
-  if (profiler == nullptr) return;
-  const std::vector<PhaseGroup> groups = {
-      {"shuffle",
-       {"shuffle_intra", "shuffle_all2all", "shuffle_inter", "exchange"},
-       {prof::Phase::shuffle_intra, prof::Phase::shuffle_all2all,
-        prof::Phase::shuffle_inter, prof::Phase::exchange}},
-      {"write",
-       {"write_contig", "read_contig"},
-       {prof::Phase::write_contig, prof::Phase::read_contig}},
-      // not_hidden_sync is deliberately absent: it is a workflow-level
-      // timer around the deferred close with no PhaseScope span of its own.
-      {"flush", {"flush_wait"}, {prof::Phase::flush_wait}},
-  };
-  const auto& tracks = tracer.track_list();
-  // (rank, group) -> traced nanoseconds
-  std::unordered_map<std::int64_t, Time> traced;
-  for (const Tracer::Event& e : tracer.event_list()) {
-    if (e.phase != 'X') continue;
-    if (static_cast<std::size_t>(e.track) >= tracks.size()) continue;
-    const int rank =
-        rank_of_track(tracks[static_cast<std::size_t>(e.track)].name);
-    if (rank < 0 || rank >= profiler->ranks()) continue;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      for (const char* span : groups[g].spans) {
-        if (e.name == span) {
-          traced[rank * 8 + static_cast<std::int64_t>(g)] += e.dur;
-        }
-      }
-    }
-  }
-  double dev = 0.0;
-  for (int rank = 0; rank < profiler->ranks(); ++rank) {
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      Time expected = 0;
-      for (const prof::Phase phase : groups[g].phases) {
-        expected += profiler->rank_total(rank, phase);
-      }
-      if (expected <= 0) continue;
-      const auto it = traced.find(rank * 8 + static_cast<std::int64_t>(g));
-      const Time got = it != traced.end() ? it->second : 0;
-      const double rel =
-          static_cast<double>(got > expected ? got - expected
-                                             : expected - got) /
-          static_cast<double>(expected);
-      dev = std::max(dev, rel);
-    }
-  }
-  report.phase_consistency_dev = dev;
-}
-
 double seconds(Time ns) { return static_cast<double>(ns) / 1e9; }
 
 }  // namespace
@@ -476,8 +413,7 @@ const char* path_category_name(PathCategory category) {
 }
 
 CriticalPathReport analyze_critical_path(const Tracer& tracer,
-                                         const CausalRecorder& recorder,
-                                         const prof::Profiler* profiler) {
+                                         const CausalRecorder& recorder) {
   CriticalPathReport report;
   Walker walker(tracer, recorder, report);
   walker.run();
@@ -496,12 +432,10 @@ CriticalPathReport analyze_critical_path(const Tracer& tracer,
           ? static_cast<double>(named) / static_cast<double>(report.total_ns)
           : 1.0;
   fill_rank_skew(tracer, report);
-  fill_consistency(tracer, profiler, report);
   return report;
 }
 
-Json critical_path_json(const CriticalPathReport& report,
-                        const prof::Profiler* profiler) {
+Json critical_path_json(const CriticalPathReport& report) {
   Json out = Json::object();
   out.set("total_s", Json::number(seconds(report.total_ns)));
   out.set("bottleneck", Json::str(path_category_name(report.bottleneck)));
@@ -524,24 +458,6 @@ Json critical_path_json(const CriticalPathReport& report,
   skew.set("max_s", Json::number(seconds(report.rank_end_max_ns)));
   skew.set("skew", Json::number(report.rank_skew));
   out.set("rank_skew", std::move(skew));
-  out.set("phase_consistency_dev",
-          Json::number(report.phase_consistency_dev));
-  if (profiler != nullptr) {
-    Json tails = Json::object();
-    for (std::size_t p = 0; p < prof::kPhaseCount; ++p) {
-      const auto phase = static_cast<prof::Phase>(p);
-      Json row = Json::object();
-      row.set("p50_s",
-              Json::number(seconds(profiler->percentile_over_ranks(phase, 0.50))));
-      row.set("p95_s",
-              Json::number(seconds(profiler->percentile_over_ranks(phase, 0.95))));
-      row.set("p99_s",
-              Json::number(seconds(profiler->percentile_over_ranks(phase, 0.99))));
-      row.set("max_s", Json::number(seconds(profiler->max_over_ranks(phase))));
-      tails.set(prof::phase_name(phase), std::move(row));
-    }
-    out.set("phase_tails", std::move(tails));
-  }
   Json segments = Json::array();
   for (const PathSegment& seg : report.segments) {
     Json row = Json::object();

@@ -10,9 +10,9 @@
 // process joins — backward from job completion, extracts the critical path,
 // and attributes every nanosecond of it to a named phase or resource:
 // shuffle, aggregator write, flush, lock wait, NIC contention, compute,
-// coordination, idle. Per-rank skew and the profiler's per-phase tail
-// distributions ride along so one report answers both "what bounded this
-// run" and "how unevenly".
+// coordination, idle. Per-rank skew rides along so one report answers both
+// "what bounded this run" and "how unevenly"; the per-phase tails over
+// ranks are in the run report's "phases" table.
 #pragma once
 
 #include <array>
@@ -25,10 +25,6 @@
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
-
-namespace e10::prof {
-class Profiler;
-}
 
 namespace e10::obs {
 
@@ -82,11 +78,6 @@ struct CriticalPathReport {
   /// (max - min) / max over rank completion times; 0 with <2 rank lanes.
   double rank_skew = 0.0;
 
-  /// Max relative deviation between the trace's per-rank phase sums and the
-  /// profiler's, over shuffle/write/flush (0 when no profiler given). Both
-  /// sinks are fed by the same PhaseScope, so this is a self-check.
-  double phase_consistency_dev = 0.0;
-
   /// On-path segments, newest first (capped at kMaxSegments).
   std::vector<PathSegment> segments;
   static constexpr std::size_t kMaxSegments = 256;
@@ -100,16 +91,13 @@ struct CriticalPathReport {
 };
 
 /// Walks the DAG backward from the last recorded activity and attributes
-/// the whole [0, completion] interval. `profiler` (optional) feeds the
-/// consistency self-check; it never influences the attribution itself.
+/// the whole [0, completion] interval.
 CriticalPathReport analyze_critical_path(const Tracer& tracer,
-                                         const CausalRecorder& recorder,
-                                         const prof::Profiler* profiler);
+                                         const CausalRecorder& recorder);
 
 /// Report section: totals, per-category ns + fraction, bottleneck, skew,
-/// hops, and (with a profiler) per-phase p50/p95/p99/max tails in seconds.
-Json critical_path_json(const CriticalPathReport& report,
-                        const prof::Profiler* profiler);
+/// hops and the on-path segments.
+Json critical_path_json(const CriticalPathReport& report);
 
 /// Human-readable bottleneck table (fixed-width, one category per row).
 std::string critical_path_table(const CriticalPathReport& report);

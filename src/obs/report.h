@@ -1,8 +1,9 @@
 // Run-report emitter: serialises one experiment run — configuration,
 // profiler phase table, metrics snapshot and derived quantities (perceived
 // bandwidth, flush-overlap ratio) — into a single machine-readable JSON
-// object. Every figure bench can dump one with --report=<path>, making runs
-// comparable across PRs without screen-scraping the printed tables.
+// object. Every figure spec of bench_sweep dumps one with --report=<path>,
+// making runs comparable across PRs without screen-scraping the printed
+// tables.
 #pragma once
 
 #include <map>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace e10::prof {
@@ -30,7 +29,6 @@ const char* phase_name(Phase phase) {
 Profiler::Profiler(sim::Engine& engine, int ranks) : engine_(engine) {
   if (ranks <= 0) throw std::logic_error("Profiler: ranks must be > 0");
   totals_.resize(static_cast<std::size_t>(ranks));
-  reset();
 }
 
 void Profiler::record(int rank, Phase phase, Time duration) {
@@ -86,48 +84,6 @@ Time Profiler::percentile_over_ranks(Phase phase, double q) const {
     index = static_cast<std::size_t>(std::ceil(q * n)) - 1;
   }
   return values[std::min(index, values.size() - 1)];
-}
-
-Time Profiler::max_over(const std::vector<int>& ranks, Phase phase) const {
-  Time best = 0;
-  for (const int r : ranks) best = std::max(best, rank_total(r, phase));
-  return best;
-}
-
-void Profiler::reset() {
-  for (auto& row : totals_) row.fill(0);
-}
-
-std::string Profiler::summary() const {
-  std::ostringstream os;
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    const Phase phase = static_cast<Phase>(p);
-    os << phase_name(phase) << " max=" << format_time(max_over_ranks(phase))
-       << " avg=" << format_time(avg_over_ranks(phase))
-       << " min=" << format_time(min_over_ranks(phase))
-       << " p50=" << format_time(percentile_over_ranks(phase, 0.50))
-       << " p95=" << format_time(percentile_over_ranks(phase, 0.95))
-       << " p99=" << format_time(percentile_over_ranks(phase, 0.99)) << "\n";
-  }
-  return os.str();
-}
-
-std::string Profiler::to_csv() const {
-  std::ostringstream os;
-  os << "phase,min_s,p50_s,p95_s,p99_s,avg_s,max_s\n";
-  os.setf(std::ios::fixed);
-  os.precision(9);
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    const Phase phase = static_cast<Phase>(p);
-    os << phase_name(phase) << ','
-       << units::to_seconds(min_over_ranks(phase)) << ','
-       << units::to_seconds(percentile_over_ranks(phase, 0.50)) << ','
-       << units::to_seconds(percentile_over_ranks(phase, 0.95)) << ','
-       << units::to_seconds(percentile_over_ranks(phase, 0.99)) << ','
-       << units::to_seconds(avg_over_ranks(phase)) << ','
-       << units::to_seconds(max_over_ranks(phase)) << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace e10::prof

@@ -84,25 +84,11 @@ class Profiler {
   Time min_over_ranks(Phase phase) const;
 
   /// Nearest-rank percentile over the per-rank totals, q in [0, 1]. The
-  /// spread between p50 and max is the straggler signature the summary's
-  /// max/avg pair hides.
+  /// spread between p50 and max is the straggler signature a max/avg pair
+  /// hides.
   Time percentile_over_ranks(Phase phase, double q) const;
 
-  /// Max restricted to a rank subset (e.g. aggregators only).
-  Time max_over(const std::vector<int>& ranks, Phase phase) const;
-
   int ranks() const { return static_cast<int>(totals_.size()); }
-
-  void reset();
-
-  /// One row per phase: "phase max avg min p50 p95 p99" (for reports and
-  /// tests).
-  std::string summary() const;
-
-  /// Machine-readable table, one line per phase:
-  /// "phase,min_s,p50_s,p95_s,p99_s,avg_s,max_s" (seconds) under a header
-  /// row.
-  std::string to_csv() const;
 
  private:
   friend class Scope;

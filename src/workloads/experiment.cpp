@@ -283,10 +283,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   result.report = obs::run_report_json(inputs);
 
   if (causal != nullptr) {
-    const obs::CriticalPathReport path = obs::analyze_critical_path(
-        platform.tracer, *causal, &platform.profiler);
-    result.critical_path =
-        obs::critical_path_json(path, &platform.profiler);
+    const obs::CriticalPathReport path =
+        obs::analyze_critical_path(platform.tracer, *causal);
+    result.critical_path = obs::critical_path_json(path);
     result.bottleneck = obs::path_category_name(path.bottleneck);
     result.attributed_fraction = path.attributed_fraction;
     result.critical_path_text = obs::critical_path_table(path);

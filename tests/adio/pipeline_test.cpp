@@ -12,6 +12,7 @@
 #include "common/units.h"
 #include "mpiio/file.h"
 #include "sim/async.h"
+#include "support/quick_point.h"
 #include "workloads/testbed.h"
 
 namespace e10::adio {
@@ -19,6 +20,8 @@ namespace {
 
 using namespace e10::units;
 using mpiio::File;
+using workloads::CacheCase;
+using workloads::ExperimentSpec;
 using workloads::Platform;
 using workloads::small_testbed;
 
@@ -132,6 +135,24 @@ TEST(WritePipeline_, PipelinedIsNeverSlowerThanSynchronous) {
   const Time t_off =
       run_interleaved(off, "/pfs/t_off", coll_info(false), kBlock, kBlocks);
   EXPECT_LE(t_on, t_off);
+
+  // The quick sweep's 4_16m point, cache disabled and enabled: the same
+  // bytes, never slower, and the pipelined run stays race- and cycle-free.
+  for (const CacheCase cache_case :
+       {CacheCase::disabled, CacheCase::enabled}) {
+    ExperimentSpec pipelined =
+        workloads::quick_collperf_spec(4, 16 * MiB, cache_case, 2);
+    ExperimentSpec synchronous = pipelined;
+    synchronous.pipeline = false;
+    pipelined.check_concurrency = true;
+    const auto fast = run_experiment(pipelined, workloads::quick_collperf());
+    const auto slow = run_experiment(synchronous, workloads::quick_collperf());
+    const char* where = workloads::to_string(cache_case);
+    EXPECT_EQ(fast.content_checksum, slow.content_checksum) << where;
+    EXPECT_LE(fast.workflow.io_time, slow.workflow.io_time) << where;
+    EXPECT_EQ(fast.analysis_races, 0u) << where;
+    EXPECT_EQ(fast.analysis_cycles, 0u) << where;
+  }
 }
 
 TEST(WritePipeline_, SingleRoundDegeneratesToSynchronous) {
@@ -196,6 +217,22 @@ TEST(WritePipeline_, CheckerFindsNoRacesInPipelinedWrites) {
   EXPECT_EQ(summary.races.size(), 0u);
   EXPECT_EQ(summary.cycles.size(), 0u);
   EXPECT_GT(summary.shared_accesses, 0u);
+
+  // The quick sweep's 4_4m point in all three cache cases. Cache-disabled
+  // runs have no instrumented state; the cached runs do.
+  std::size_t shared_accesses = 0;
+  for (const CacheCase cache_case :
+       {CacheCase::disabled, CacheCase::enabled, CacheCase::theoretical}) {
+    ExperimentSpec spec =
+        workloads::quick_collperf_spec(4, 4 * MiB, cache_case, 1);
+    spec.check_concurrency = true;
+    const auto result = run_experiment(spec, workloads::quick_collperf());
+    EXPECT_TRUE(result.report.at("analysis").at("enabled").as_bool());
+    EXPECT_EQ(result.analysis_races, 0u) << workloads::to_string(cache_case);
+    EXPECT_EQ(result.analysis_cycles, 0u) << workloads::to_string(cache_case);
+    shared_accesses += result.analysis_shared_accesses;
+  }
+  EXPECT_GT(shared_accesses, 0u);
 }
 
 TEST(OverlapAccumulator_, FullyHiddenJoin) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "obs/json.h"
@@ -70,6 +72,30 @@ TEST(Compare, RegressionBeyondThresholdFailsWithPhaseAttribution) {
   EXPECT_NE(table.find("REGRESSION"), std::string::npos);
   EXPECT_NE(table.find("exchange"), std::string::npos);
   EXPECT_NE(table.find("FAIL"), std::string::npos);
+
+  // The committed pipeline gate baseline passes against itself and fails
+  // once every point's io_time_s is 10% slower.
+  std::ifstream file(std::string(E10_REPO_ROOT) +
+                     "/results/ci/baseline_pipeline.json");
+  std::stringstream text;
+  text << file.rdbuf();
+  const Json committed = parse(text.str());
+  Json slower = Json::array();
+  for (const Json& run : committed.elements()) {
+    Json derived = run.at("derived");
+    derived.set("io_time_s",
+                Json::number(derived.at("io_time_s").as_number() * 1.10));
+    Json copy = run;
+    copy.set("derived", std::move(derived));
+    slower.push(std::move(copy));
+  }
+  const auto same = compare_runs(committed, committed, CompareOptions{});
+  ASSERT_TRUE(same.is_ok());
+  EXPECT_TRUE(same.value().ok(CompareOptions{}));
+  const auto gate = compare_runs(committed, slower, CompareOptions{});
+  ASSERT_TRUE(gate.is_ok());
+  EXPECT_EQ(gate.value().regressions, committed.size());
+  EXPECT_FALSE(gate.value().ok(CompareOptions{}));
 }
 
 TEST(Compare, ThresholdAbsorbsSmallDrift) {

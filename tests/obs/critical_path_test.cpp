@@ -24,8 +24,7 @@ TEST(CriticalPath, EmptyRunIsEmptyReport) {
   Tracer tracer(engine);
   tracer.set_enabled(true);
   CausalRecorder recorder(engine);
-  const CriticalPathReport report =
-      analyze_critical_path(tracer, recorder, nullptr);
+  const CriticalPathReport report = analyze_critical_path(tracer, recorder);
   EXPECT_EQ(report.total_ns, 0);
   EXPECT_EQ(report.hops, 0);
   EXPECT_FALSE(report.truncated);
@@ -61,8 +60,7 @@ TEST(CriticalPath, MessageEdgeCrossesToTheSender) {
   });
   engine.run();
 
-  const CriticalPathReport report =
-      analyze_critical_path(tracer, recorder, nullptr);
+  const CriticalPathReport report = analyze_critical_path(tracer, recorder);
   EXPECT_EQ(report.total_ns, milliseconds(5));
   EXPECT_EQ(report.hops, 1);
   EXPECT_EQ(category_ns(report, PathCategory::shuffle),
@@ -96,8 +94,7 @@ TEST(CriticalPath, BridgeAttributesTheAsyncServiceInterval) {
   });
   engine.run();
 
-  const CriticalPathReport report =
-      analyze_critical_path(tracer, recorder, nullptr);
+  const CriticalPathReport report = analyze_critical_path(tracer, recorder);
   EXPECT_EQ(report.total_ns, milliseconds(5));
   EXPECT_EQ(report.hops, 1);
   // [1, 4] service -> write; [4, 5] + [0, 1] on the lane -> coordination
@@ -124,8 +121,7 @@ TEST(CriticalPath, LockWaitOverlayRelabelsWriteTime) {
   });
   engine.run();
 
-  const CriticalPathReport report =
-      analyze_critical_path(tracer, recorder, nullptr);
+  const CriticalPathReport report = analyze_critical_path(tracer, recorder);
   EXPECT_EQ(report.total_ns, milliseconds(4));
   EXPECT_EQ(category_ns(report, PathCategory::lock_wait), milliseconds(3));
   EXPECT_EQ(category_ns(report, PathCategory::write), milliseconds(1));
@@ -149,8 +145,7 @@ TEST(CriticalPath, GapsOnTheLaneAreIdle) {
   });
   engine.run();
 
-  const CriticalPathReport report =
-      analyze_critical_path(tracer, recorder, nullptr);
+  const CriticalPathReport report = analyze_critical_path(tracer, recorder);
   EXPECT_EQ(report.total_ns, milliseconds(4));
   EXPECT_EQ(category_ns(report, PathCategory::write), milliseconds(2));
   EXPECT_EQ(category_ns(report, PathCategory::idle), milliseconds(2));
@@ -175,8 +170,7 @@ TEST(CriticalPath, InnermostSpanWinsOnNesting) {
   });
   engine.run();
 
-  const CriticalPathReport report =
-      analyze_critical_path(tracer, recorder, nullptr);
+  const CriticalPathReport report = analyze_critical_path(tracer, recorder);
   EXPECT_EQ(category_ns(report, PathCategory::write), milliseconds(2));
   EXPECT_EQ(category_ns(report, PathCategory::coordination), milliseconds(2));
 }
@@ -197,8 +191,7 @@ TEST(CriticalPath, RankSkewFromTrackCompletionTimes) {
   });
   engine.run();
 
-  const CriticalPathReport report =
-      analyze_critical_path(tracer, recorder, nullptr);
+  const CriticalPathReport report = analyze_critical_path(tracer, recorder);
   EXPECT_EQ(report.rank_end_min_ns, milliseconds(2));
   EXPECT_EQ(report.rank_end_max_ns, milliseconds(4));
   EXPECT_DOUBLE_EQ(report.rank_skew, 0.5);
@@ -215,14 +208,12 @@ TEST(CriticalPath, JsonAndTableCarryTheReport) {
   });
   engine.run();
 
-  const CriticalPathReport report =
-      analyze_critical_path(tracer, recorder, nullptr);
-  const Json json = critical_path_json(report, nullptr);
+  const CriticalPathReport report = analyze_critical_path(tracer, recorder);
+  const Json json = critical_path_json(report);
   EXPECT_EQ(json.at("bottleneck").as_string(), "shuffle");
   EXPECT_DOUBLE_EQ(json.at("total_s").as_number(), 0.001);
   EXPECT_GT(json.at("categories").at("shuffle").at("fraction").as_number(),
             0.99);
-  EXPECT_TRUE(json.find("phase_tails") == nullptr);  // no profiler given
   const std::string table = critical_path_table(report);
   EXPECT_NE(table.find("bottleneck=shuffle"), std::string::npos);
   EXPECT_NE(table.find("100.0% attributed"), std::string::npos);

@@ -5,9 +5,12 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/units.h"
 #include "obs/json.h"
+#include "support/quick_point.h"
 #include "workloads/experiment.h"
 #include "workloads/workload.h"
 
@@ -142,21 +145,20 @@ TEST(ObsWorkload, CriticalPathAttributesTheRun) {
   const ExperimentResult result = run_experiment(spec, tiny_ior());
 
   // The analyzer names a bottleneck and accounts for (nearly) all of the
-  // end-to-end virtual time; the trace-vs-profiler self-check agrees
-  // within the acceptance tolerance.
+  // end-to-end virtual time.
   EXPECT_FALSE(result.bottleneck.empty());
   EXPECT_GE(result.attributed_fraction, 0.95);
   EXPECT_LE(result.attributed_fraction, 1.0 + 1e-9);
   ASSERT_TRUE(result.critical_path.is_object());
   const obs::Json& cp = result.critical_path;
-  EXPECT_LE(cp.at("phase_consistency_dev").as_number(), 0.05);
   EXPECT_FALSE(cp.at("truncated").as_bool());
   EXPECT_GT(cp.at("hops").as_int(), 0);
   EXPECT_GT(cp.at("total_s").as_number(), 0.0);
   EXPECT_TRUE(cp.find("categories") != nullptr);
-  EXPECT_TRUE(cp.find("phase_tails") != nullptr);
-  EXPECT_GE(cp.at("phase_tails").at("exchange").at("p99_s").as_number(),
-            cp.at("phase_tails").at("exchange").at("p50_s").as_number());
+  // The per-phase tails over ranks are in the report's phase table.
+  const obs::Json& exchange = result.report.at("phases").at("exchange");
+  EXPECT_GE(exchange.at("p99_s").as_number(),
+            exchange.at("p50_s").as_number());
   // The run report embeds the same section.
   EXPECT_TRUE(result.report.find("critical_path") != nullptr);
   // critical_path alone does not produce a trace file.
@@ -166,17 +168,33 @@ TEST(ObsWorkload, CriticalPathAttributesTheRun) {
 
 TEST(ObsWorkload, CriticalPathAcrossCacheCases) {
   // Attribution holds on all three measurement cases, not just the one the
-  // paper features.
+  // paper features, on the small testbed and on the quick sweep's 4_4m and
+  // 4_16m points: the walk covers >= 95% of the end-to-end time without
+  // truncation, names a bottleneck, and its category fractions sum to 1.
+  std::vector<std::pair<ExperimentSpec, WorkloadFactory>> inputs;
   for (const CacheCase cache_case :
        {CacheCase::disabled, CacheCase::enabled, CacheCase::theoretical}) {
-    ExperimentSpec spec = small_spec(cache_case, milliseconds(200));
+    inputs.emplace_back(small_spec(cache_case, milliseconds(200)),
+                        tiny_ior());
+    for (const Offset cb : {4 * MiB, 16 * MiB}) {
+      inputs.emplace_back(quick_collperf_spec(4, cb, cache_case, 2),
+                          quick_collperf());
+    }
+  }
+  for (auto& [spec, factory] : inputs) {
     spec.critical_path = true;
-    const ExperimentResult result = run_experiment(spec, tiny_ior());
-    EXPECT_GE(result.attributed_fraction, 0.95)
-        << to_string(cache_case);
-    EXPECT_LE(
-        result.critical_path.at("phase_consistency_dev").as_number(), 0.05)
-        << to_string(cache_case);
+    const ExperimentResult result = run_experiment(spec, factory);
+    const std::string where =
+        result.combo + " " + to_string(spec.cache_case);
+    EXPECT_GE(result.attributed_fraction, 0.95) << where;
+    EXPECT_FALSE(result.bottleneck.empty()) << where;
+    EXPECT_FALSE(result.critical_path.at("truncated").as_bool()) << where;
+    double fractions = 0.0;
+    for (const auto& [name, category] :
+         result.critical_path.at("categories").members()) {
+      fractions += category.at("fraction").as_number();
+    }
+    EXPECT_NEAR(fractions, 1.0, 0.01) << where;
   }
 }
 
@@ -211,6 +229,22 @@ TEST(ObsWorkload, FaultedRunLeavesNoDanglingSpans) {
   EXPECT_EQ(result.trace_open_spans, 0u);
   // The trace is still schema-valid JSON.
   EXPECT_TRUE(obs::Json::parse(result.trace_json).is_ok());
+
+  // The quick sweep's 4_4m point under transient write faults and a server
+  // outage: the report records the plan, both fault kinds fire, nothing
+  // crashes and no span is left open.
+  ExperimentSpec quick = quick_collperf_spec(4, 4 * MiB, CacheCase::enabled, 1);
+  quick.trace = true;
+  quick.faults =
+      fault::FaultPlan::parse("pfs_write=2%/timed_out; outage=1@1s-2s; seed=7")
+          .value();
+  const ExperimentResult faulted = run_experiment(quick, quick_collperf());
+  EXPECT_TRUE(faulted.report.at("config").find("fault_plan") != nullptr);
+  const obs::Json& derived = faulted.report.at("derived");
+  EXPECT_GT(derived.at("fault_injected").as_number(), 0.0);
+  EXPECT_GT(derived.at("fault_outage_rejections").as_number(), 0.0);
+  EXPECT_EQ(derived.at("fault_crashes").as_number(), 0.0);
+  EXPECT_EQ(faulted.trace_open_spans, 0u);
 }
 
 TEST(ObsWorkload, OutageRunLeavesNoDanglingSpans) {

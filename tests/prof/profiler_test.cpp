@@ -23,16 +23,6 @@ TEST(Profiler, RecordsAndAggregates) {
   EXPECT_EQ(profiler.max_over_ranks(Phase::flush_wait), 0);
 }
 
-TEST(Profiler, MaxOverSubset) {
-  sim::Engine engine;
-  Profiler profiler(engine, 4);
-  profiler.record(0, Phase::exchange, seconds(9));
-  profiler.record(3, Phase::exchange, seconds(4));
-  EXPECT_EQ(profiler.max_over({1, 3}, Phase::exchange), seconds(4));
-  EXPECT_EQ(profiler.max_over({0, 3}, Phase::exchange), seconds(9));
-  EXPECT_EQ(profiler.max_over({}, Phase::exchange), 0);
-}
-
 TEST(Profiler, ScopeMeasuresVirtualTime) {
   sim::Engine engine;
   Profiler profiler(engine, 1);
@@ -85,37 +75,6 @@ TEST(Profiler, MinAndPercentilesOverRanks) {
                std::logic_error);
 }
 
-TEST(Profiler, ToCsvHasHeaderAndAllPhases) {
-  sim::Engine engine;
-  Profiler profiler(engine, 2);
-  profiler.record(0, Phase::write_contig, seconds(1));
-  profiler.record(1, Phase::write_contig, seconds(3));
-  const std::string csv = profiler.to_csv();
-  EXPECT_EQ(csv.find("phase,min_s,p50_s,p95_s,p99_s,avg_s,max_s"), 0u);
-  // One data line per phase, every line with 7 comma-separated columns.
-  std::size_t lines = 0;
-  std::size_t pos = 0;
-  while ((pos = csv.find('\n', pos)) != std::string::npos) {
-    ++lines;
-    ++pos;
-  }
-  EXPECT_EQ(lines, 1 + kPhaseCount);
-  const std::size_t row = csv.find("write_contig,");
-  ASSERT_NE(row, std::string::npos);
-  const std::string line = csv.substr(row, csv.find('\n', row) - row);
-  EXPECT_NE(line.find("1.000000000"), std::string::npos);  // min_s
-  EXPECT_NE(line.find("2.000000000"), std::string::npos);  // avg_s
-  EXPECT_NE(line.find("3.000000000"), std::string::npos);  // max_s
-}
-
-TEST(Profiler, ResetClearsEverything) {
-  sim::Engine engine;
-  Profiler profiler(engine, 2);
-  profiler.record(0, Phase::close, seconds(1));
-  profiler.reset();
-  EXPECT_EQ(profiler.max_over_ranks(Phase::close), 0);
-}
-
 TEST(Profiler, InvalidArgumentsThrow) {
   sim::Engine engine;
   EXPECT_THROW(Profiler(engine, 0), std::logic_error);
@@ -131,16 +90,6 @@ TEST(Profiler, PhaseNamesAreStable) {
   EXPECT_STREQ(phase_name(Phase::not_hidden_sync), "not_hidden_sync");
   EXPECT_STREQ(phase_name(Phase::write_contig), "write_contig");
   EXPECT_STREQ(phase_name(Phase::post_write), "post_write");
-}
-
-TEST(Profiler, SummaryMentionsEveryPhase) {
-  sim::Engine engine;
-  Profiler profiler(engine, 1);
-  const std::string summary = profiler.summary();
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    EXPECT_NE(summary.find(phase_name(static_cast<Phase>(p))),
-              std::string::npos);
-  }
 }
 
 }  // namespace
