@@ -1,11 +1,14 @@
 // Substrate micro-benchmarks (google-benchmark): DES engine switch rate,
-// PFS client write throughput, local-SSD cache write path, and MPI
-// collective/point-to-point overheads. These establish the simulator's own
-// performance envelope — how much real time a simulated experiment costs.
+// PFS client write throughput, local-SSD cache write path, MPI
+// collective/point-to-point overheads, and the host cost of one collective
+// open and one two-level write call as the rank count grows. These
+// establish the simulator's own performance envelope — how much real time
+// a simulated experiment costs.
 #include <benchmark/benchmark.h>
 
 #include "common/units.h"
 #include "mpi/world.h"
+#include "mpiio/file.h"
 #include "workloads/testbed.h"
 
 namespace {
@@ -106,6 +109,70 @@ void BM_MpiPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_MpiPingPong)->Unit(benchmark::kMillisecond);
+
+/// The paper's testbed resized to `ranks` ranks, 8 per node.
+workloads::TestbedParams testbed_of(std::int64_t ranks) {
+  workloads::TestbedParams params = workloads::deep_er_testbed();
+  params.ranks_per_node = 8;
+  params.compute_nodes = static_cast<std::size_t>(ranks) / 8;
+  return params;
+}
+
+// The rank-scaling cases time kCalls collective calls per simulated run;
+// building the platform is not timed, starting and ending its rank fibers
+// is. An item is one call on every rank.
+constexpr int kCalls = 4;
+
+void BM_CollectiveOpen(benchmark::State& state) {
+  // Open and close one file, cache off: aggregator selection and the
+  // two-level decision read the communicator's node table.
+  for (auto _ : state) {
+    state.PauseTiming();
+    workloads::Platform p(testbed_of(state.range(0)));
+    p.launch([&p](mpi::Comm comm) {
+      for (int i = 0; i < kCalls; ++i) {
+        auto file = mpiio::File::open(p.ctx, comm, "/pfs/bench_open",
+                                      adio::amode::create | adio::amode::rdwr);
+        benchmark::DoNotOptimize(file.is_ok() && file.value().close().is_ok());
+      }
+    });
+    state.ResumeTiming();
+    p.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kCalls);
+}
+BENCHMARK(BM_CollectiveOpen)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_TwoLevelWriteCall(benchmark::State& state) {
+  // kCalls two-level write_at_all calls of 4 KiB per rank between one open
+  // and close: each call finds every rank's node leader to build the node
+  // hulls.
+  mpi::Info info;
+  info.set("romio_cb_write", "enable");
+  info.set("e10_two_level_flag", "enable");
+  for (auto _ : state) {
+    state.PauseTiming();
+    workloads::Platform p(testbed_of(state.range(0)));
+    p.launch([&p, &info](mpi::Comm comm) {
+      auto file = mpiio::File::open(p.ctx, comm, "/pfs/bench_two_level",
+                                    adio::amode::create | adio::amode::rdwr,
+                                    info);
+      if (!file.is_ok()) return;
+      for (int i = 0; i < kCalls; ++i) {
+        const Offset offset = (Offset{i} * comm.size() + comm.rank()) * 4 * KiB;
+        benchmark::DoNotOptimize(
+            file.value()
+                .write_at_all(offset, DataView::synthetic(1, offset, 4 * KiB))
+                .is_ok());
+      }
+      (void)file.value().close();
+    });
+    state.ResumeTiming();
+    p.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kCalls);
+}
+BENCHMARK(BM_TwoLevelWriteCall)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_ByteStoreWrite(benchmark::State& state) {
   for (auto _ : state) {

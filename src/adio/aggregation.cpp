@@ -1,7 +1,6 @@
 #include "adio/aggregation.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace e10::adio {
@@ -12,17 +11,13 @@ std::vector<int> select_aggregators(const mpi::Comm& comm, int cb_nodes,
   if (per_node_cap <= 0) {
     throw std::logic_error("select_aggregators: per_node_cap must be > 0");
   }
-  // Group ranks by node, in rank order.
-  std::map<std::size_t, std::vector<int>> by_node;
-  for (int r = 0; r < size; ++r) {
-    by_node[comm.node_of(r)].push_back(r);
-  }
+  const std::vector<mpi::NodeGroup>& by_node = comm.node_groups();
   const int nodes = static_cast<int>(by_node.size());
   // The cap limits both the per-node layers and the total pool.
   std::size_t max_layers = static_cast<std::size_t>(per_node_cap);
   int pool = 0;
-  for (const auto& [node, ranks] : by_node) {
-    pool += static_cast<int>(std::min(ranks.size(), max_layers));
+  for (const mpi::NodeGroup& group : by_node) {
+    pool += static_cast<int>(std::min(group.ranks.size(), max_layers));
   }
   int want = cb_nodes > 0 ? std::min({cb_nodes, size, pool})
                           : std::min(nodes, pool);
@@ -33,9 +28,9 @@ std::vector<int> select_aggregators(const mpi::Comm& comm, int cb_nodes,
   for (std::size_t layer = 0;
        layer < max_layers && static_cast<int>(aggregators.size()) < want;
        ++layer) {
-    for (const auto& [node, ranks] : by_node) {
+    for (const mpi::NodeGroup& group : by_node) {
       if (static_cast<int>(aggregators.size()) >= want) break;
-      if (layer < ranks.size()) aggregators.push_back(ranks[layer]);
+      if (layer < group.ranks.size()) aggregators.push_back(group.ranks[layer]);
     }
   }
   std::sort(aggregators.begin(), aggregators.end());

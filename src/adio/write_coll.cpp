@@ -190,13 +190,11 @@ Status write_strided_coll(AdioFile& fd,
   }
 
   // Two-level topology, fixed for the operation (pure computation — no
-  // virtual time passes here). Leaders appear in ascending world-rank
-  // order; block placement keeps each node's ranks contiguous, so the
-  // single pass below sees every node's leader first.
+  // virtual time passes here), read from the communicator's node table.
   const int my_leader = fd.two_level ? comm.node_leader(me) : me;
-  std::vector<int> leader_ranks;     // all leaders, ascending world rank
-  std::size_t my_leader_index = 0;   // my leader's position in leader_ranks
-  std::vector<int> my_members;       // leader only: my node's ranks (incl. me)
+  const std::vector<int>& leader_ranks = comm.node_leaders();  // ascending
+  const std::size_t my_leader_index = comm.leader_index(me);
+  const std::vector<int>& my_members = comm.node_ranks(comm.node());
   std::size_t my_agg_index = 0;      // aggregator only: index in fd.aggregators
   // Per leader index: the [min start, max end) hull of that node's rank
   // extents, (kNoOffset, kNoOffset) when the node has no data. Every rank
@@ -206,13 +204,9 @@ Status write_strided_coll(AdioFile& fd,
   // round r exactly when l's hull intersects a's round-r window.
   std::vector<std::pair<Offset, Offset>> node_hull;
   if (fd.two_level) {
+    node_hull.assign(leader_ranks.size(), {kNoOffset, kNoOffset});
     for (int r = 0; r < p; ++r) {
-      if (comm.node_leader(r) == r) {
-        if (r == my_leader) my_leader_index = leader_ranks.size();
-        leader_ranks.push_back(r);
-        node_hull.emplace_back(kNoOffset, kNoOffset);
-      }
-      auto& hull = node_hull.back();
+      auto& hull = node_hull[comm.leader_index(r)];
       const auto& [start, end] = all_offsets[static_cast<std::size_t>(r)];
       if (start == kNoOffset) continue;
       if (hull.first == kNoOffset) {
@@ -222,7 +216,6 @@ Status write_strided_coll(AdioFile& fd,
         hull.second = std::max(hull.second, end);
       }
     }
-    if (me == my_leader) my_members = comm.node_ranks(comm.node());
     if (fd.is_aggregator()) {
       my_agg_index = static_cast<std::size_t>(
           std::find(fd.aggregators.begin(), fd.aggregators.end(), me) -

@@ -30,8 +30,20 @@ std::size_t Comm::node_of(int rank) const { return state_->node_of(rank); }
 
 int Comm::node_leader(int rank) const { return state_->node_leader(rank); }
 
-std::vector<int> Comm::node_ranks(std::size_t node) const {
+const std::vector<int>& Comm::node_leaders() const {
+  return state_->node_leaders();
+}
+
+std::size_t Comm::leader_index(int rank) const {
+  return state_->leader_index(rank);
+}
+
+const std::vector<int>& Comm::node_ranks(std::size_t node) const {
   return state_->node_ranks(node);
+}
+
+const std::vector<NodeGroup>& Comm::node_groups() const {
+  return state_->node_groups();
 }
 
 std::size_t Comm::max_ranks_per_node() const {
@@ -109,37 +121,46 @@ CommState::CommState(sim::Engine& engine, net::Fabric& fabric,
   if (rank_nodes_.empty()) {
     throw std::logic_error("CommState with zero ranks");
   }
+  // Node table. Scanning in rank order meets each node's leader first, so
+  // leaders_ comes out ascending; the map orders the groups by node id.
+  std::map<std::size_t, std::size_t> slot_of_node;  // node -> leaders_ index
+  std::vector<std::vector<int>> members;             // per leaders_ index
+  leader_index_.reserve(rank_nodes_.size());
+  for (int r = 0; r < size(); ++r) {
+    const auto [it, first] = slot_of_node.try_emplace(
+        rank_nodes_[static_cast<std::size_t>(r)], leaders_.size());
+    if (first) {
+      leaders_.push_back(r);
+      members.emplace_back();
+    }
+    leader_index_.push_back(it->second);
+    members[it->second].push_back(r);
+  }
+  node_groups_.reserve(slot_of_node.size());
+  for (const auto& [node, slot] : slot_of_node) {
+    max_ranks_per_node_ = std::max(max_ranks_per_node_, members[slot].size());
+    node_groups_.push_back(NodeGroup{node, std::move(members[slot])});
+  }
+}
+
+std::size_t CommState::checked(int rank, const char* what) const {
+  if (rank < 0 || rank >= size()) {
+    throw std::logic_error(std::string("CommState::") + what +
+                           ": rank out of range");
+  }
+  return static_cast<std::size_t>(rank);
 }
 
 std::size_t CommState::node_of(int rank) const {
-  if (rank < 0 || rank >= size()) {
-    throw std::logic_error("CommState::node_of: rank out of range");
-  }
-  return rank_nodes_[static_cast<std::size_t>(rank)];
+  return rank_nodes_[checked(rank, "node_of")];
 }
 
-int CommState::node_leader(int rank) const {
-  const std::size_t node = node_of(rank);
-  for (int r = 0; r <= rank; ++r) {
-    if (rank_nodes_[static_cast<std::size_t>(r)] == node) return r;
-  }
-  return rank;  // unreachable: rank itself is on the node
-}
-
-std::vector<int> CommState::node_ranks(std::size_t node) const {
-  std::vector<int> out;
-  for (int r = 0; r < size(); ++r) {
-    if (rank_nodes_[static_cast<std::size_t>(r)] == node) out.push_back(r);
-  }
-  return out;
-}
-
-std::size_t CommState::max_ranks_per_node() const {
-  std::map<std::size_t, std::size_t> counts;
-  for (const std::size_t node : rank_nodes_) ++counts[node];
-  std::size_t best = 0;
-  for (const auto& [node, count] : counts) best = std::max(best, count);
-  return best;
+const std::vector<int>& CommState::node_ranks(std::size_t node) const {
+  static const std::vector<int> kNone;
+  const auto it = std::lower_bound(
+      node_groups_.begin(), node_groups_.end(), node,
+      [](const NodeGroup& group, std::size_t n) { return group.node < n; });
+  return it != node_groups_.end() && it->node == node ? it->ranks : kNone;
 }
 
 bool CommState::matches(const PendingRecv& recv, const Packet& packet) {

@@ -42,6 +42,13 @@ struct MpiParams {
 
 class CommState;
 
+/// One node's share of a communicator.
+struct NodeGroup {
+  std::size_t node = 0;
+  /// The communicator's ranks on `node`, ascending; the first is the leader.
+  std::vector<int> ranks;
+};
+
 /// Lightweight per-rank facade over a shared CommState; cheap to copy.
 class Comm {
  public:
@@ -56,9 +63,15 @@ class Comm {
   /// the node's leader in the two-level aggregation protocol. Communicator-
   /// relative: a split communicator elects its own leaders.
   [[nodiscard]] int node_leader(int rank) const;
+  /// Every node leader of this communicator, ascending.
+  [[nodiscard]] const std::vector<int>& node_leaders() const;
+  /// Position of `rank`'s node leader in node_leaders().
+  [[nodiscard]] std::size_t leader_index(int rank) const;
   /// Ranks of this communicator hosted on `node`, ascending. Empty when the
   /// communicator has no rank there.
-  [[nodiscard]] std::vector<int> node_ranks(std::size_t node) const;
+  [[nodiscard]] const std::vector<int>& node_ranks(std::size_t node) const;
+  /// The nodes this communicator uses, ascending node id.
+  [[nodiscard]] const std::vector<NodeGroup>& node_groups() const;
   /// Largest number of this communicator's ranks sharing one node (1 means
   /// an intra-node gather stage has nothing to gather).
   [[nodiscard]] std::size_t max_ranks_per_node() const;
@@ -206,9 +219,22 @@ class CommState {
   sim::Engine& engine() { return engine_; }
   const std::string& name() const { return name_; }
   std::size_t node_of(int rank) const;
-  [[nodiscard]] int node_leader(int rank) const;
-  [[nodiscard]] std::vector<int> node_ranks(std::size_t node) const;
-  [[nodiscard]] std::size_t max_ranks_per_node() const;
+  [[nodiscard]] int node_leader(int rank) const {
+    return leaders_[leader_index(rank)];
+  }
+  [[nodiscard]] const std::vector<int>& node_leaders() const {
+    return leaders_;
+  }
+  [[nodiscard]] std::size_t leader_index(int rank) const {
+    return leader_index_[checked(rank, "leader_index")];
+  }
+  [[nodiscard]] const std::vector<int>& node_ranks(std::size_t node) const;
+  [[nodiscard]] const std::vector<NodeGroup>& node_groups() const {
+    return node_groups_;
+  }
+  [[nodiscard]] std::size_t max_ranks_per_node() const {
+    return max_ranks_per_node_;
+  }
 
   Request isend(int src, int dst, int tag, std::any payload, Offset bytes);
   Request irecv(int dst, int src, int tag);
@@ -271,6 +297,8 @@ class CommState {
     sim::CausalToken cause = 0;  // last arriver's release emission
   };
 
+  /// `rank` as an index; throws when it is outside the communicator.
+  std::size_t checked(int rank, const char* what) const;
   static bool matches(const PendingRecv& recv, const Packet& packet);
   Time collective_cost(Comm::Kind kind, Offset max_bytes) const;
   /// Finds or creates the caller's next collective slot (advancing its
@@ -293,6 +321,11 @@ class CommState {
   sim::Engine& engine_;
   net::Fabric& fabric_;
   std::vector<std::size_t> rank_nodes_;
+  // Node table, built once by the constructor from rank_nodes_.
+  std::vector<NodeGroup> node_groups_;    // ascending node id
+  std::vector<int> leaders_;              // ascending rank
+  std::vector<std::size_t> leader_index_;  // per rank: index into leaders_
+  std::size_t max_ranks_per_node_ = 0;
   MpiParams params_;
   std::string name_;
   std::vector<RankQueues> queues_;

@@ -2,14 +2,14 @@
 //
 // Ranks are placed block-wise (ranks [k*ppn, (k+1)*ppn) on node k), matching
 // the paper's "512 MPI processes distributed over 64 nodes (8 procs/node)".
-// The node_of/node_leader/node_ranks helpers are the one place the block
-// placement arithmetic lives; layers above must not hand-roll
-// `rank / ranks_per_node`.
+// node_of is the one place the block placement arithmetic lives. Node
+// membership (leaders, each node's ranks) belongs to a communicator, whose
+// node table holds it for any placement (mpi/comm.h); layers above must not
+// hand-roll `rank / ranks_per_node`.
 #pragma once
 
 #include <cstddef>
 #include <stdexcept>
-#include <vector>
 
 namespace e10::mpi {
 
@@ -31,31 +31,6 @@ class Topology {
       throw std::logic_error("Topology::node_of: rank out of range");
     }
     return static_cast<std::size_t>(rank) / ranks_per_node_;
-  }
-
-  /// Lowest rank hosted on the same node as `rank` — the node's leader in
-  /// the two-level aggregation protocol (docs/two_level.md).
-  [[nodiscard]] int node_leader(int rank) const {
-    return static_cast<int>(node_of(rank) * ranks_per_node_);
-  }
-
-  /// Ranks hosted on `node`, in rank order. The first entry is the node
-  /// leader.
-  [[nodiscard]] std::vector<int> node_ranks(std::size_t node) const {
-    if (node >= nodes_) {
-      throw std::logic_error("Topology::node_ranks: bad node");
-    }
-    std::vector<int> out;
-    out.reserve(ranks_per_node_);
-    for (std::size_t i = 0; i < ranks_per_node_; ++i) {
-      out.push_back(static_cast<int>(node * ranks_per_node_ + i));
-    }
-    return out;
-  }
-
-  /// Ranks hosted on `node`, in rank order.
-  [[nodiscard]] std::vector<int> ranks_on(std::size_t node) const {
-    return node_ranks(node);
   }
 
  private:

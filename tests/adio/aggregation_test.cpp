@@ -53,6 +53,54 @@ TEST(Aggregation, PaperScaleSelection) {
   EXPECT_EQ(eight.back(), 56);
 }
 
+TEST(Aggregation, SplitAndDupCommunicators) {
+  // The node groups of split and dup communicators, walked node-major:
+  // interleaved ranks, sparse node ids with leaders out of node order, and
+  // a dup that must select exactly as its parent.
+  using Derive = mpi::Comm (*)(const mpi::Comm&);
+  struct Case {
+    const char* name;
+    std::size_t nodes;
+    std::size_t ppn;
+    Derive derive;
+    std::vector<std::pair<int, std::vector<int>>> want;  // cb_nodes -> ranks
+  };
+  const std::vector<Case> cases = {
+      {"interleaved split", 2, 8,
+       [](const mpi::Comm& world) {
+         return world.split(0, (world.rank() % 8) * 2 + world.rank() / 8);
+       },
+       {{0, {0, 1}}, {3, {0, 1, 2}}, {4, {0, 1, 2, 3}}}},
+      {"sparse split", 4, 4,
+       [](const mpi::Comm& world) {
+         const bool out = world.node() == 1 || world.rank() == 14;
+         return world.split(out ? -1 : 0, -world.rank());
+       },
+       {{0, {0, 3, 7}}, {5, {0, 3, 4, 7, 8}}, {99, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}}},
+      {"dup", 3, 4, [](const mpi::Comm& world) { return world.dup(); },
+       {{0, {0, 4, 8}}, {5, {0, 1, 4, 5, 8}}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sim::Engine engine;
+    net::Fabric fabric(c.nodes, net::FabricParams{});
+    mpi::World world(engine, fabric, mpi::Topology(c.nodes, c.ppn));
+    std::vector<std::vector<int>> got;
+    world.launch([&](mpi::Comm w) {
+      const mpi::Comm comm = c.derive(w);
+      if (!comm.valid() || comm.rank() != 0) return;
+      for (const auto& [cb_nodes, ranks] : c.want) {
+        got.push_back(select_aggregators(comm, cb_nodes));
+      }
+    });
+    engine.run();
+    ASSERT_EQ(got.size(), c.want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], c.want[i].second) << "cb_nodes " << c.want[i].first;
+    }
+  }
+}
+
 TEST(FileDomains, EvenSplitCoversRegionExactly) {
   const auto domains =
       partition_file_domains(Extent{100, 1000}, 3, std::nullopt);

@@ -62,12 +62,17 @@ void expect_matches(const pfs::Pfs& pfs, const std::string& path,
   ASSERT_EQ(actual->byte_at(end - 1), reference.byte_at(end - 1));
 }
 
+/// The communicator a rank writes through, derived from its world one.
+using DeriveComm = mpi::Comm (*)(const mpi::Comm&);
+
 /// Runs one round-robin interleaved collective write and returns the
 /// virtual completion time (max over ranks at close).
 Time run_interleaved(Platform& p, const std::string& path,
-                     const mpi::Info& info, Offset block, int blocks) {
+                     const mpi::Info& info, Offset block, int blocks,
+                     DeriveComm derive = nullptr) {
   Time completed = 0;
-  p.launch([&, info, path, block, blocks](mpi::Comm comm) {
+  p.launch([&, info, path, block, blocks, derive](mpi::Comm world) {
+    const mpi::Comm comm = derive != nullptr ? derive(world) : world;
     auto file =
         File::open(p.ctx, comm, path, amode::create | amode::rdwr, info);
     ASSERT_TRUE(file.is_ok());
@@ -96,21 +101,41 @@ ByteStore interleaved_reference(int ranks, Offset block, int blocks) {
   return reference;
 }
 
+/// dense_testbed's world split so that new rank k sits on node k % 2: the
+/// node groups interleave in rank order.
+mpi::Comm interleave_nodes(const mpi::Comm& world) {
+  return world.split(0, (world.rank() % 8) * 2 + world.rank() / 8);
+}
+
 TEST(TwoLevel, ContentMatchesFlat) {
   constexpr Offset kBlock = 64 * KiB;
   constexpr int kBlocks = 16;  // several rounds at 256 KiB cb
-  Platform on(small_testbed());
-  Platform off(small_testbed());
-  const ByteStore reference =
-      interleaved_reference(on.ranks(), kBlock, kBlocks);
-  run_interleaved(on, "/pfs/two_on", coll_info("enable"), kBlock, kBlocks);
-  run_interleaved(off, "/pfs/two_off", coll_info("disable"), kBlock, kBlocks);
-  expect_matches(on.pfs, "/pfs/two_on", reference);
-  expect_matches(off.pfs, "/pfs/two_off", reference);
-  // The two-level exchange actually engaged on the enabled run.
-  namespace names = obs::names;
-  EXPECT_GT(on.metrics.counter_value(names::kTwoLevelRounds), 0);
-  EXPECT_EQ(off.metrics.counter_value(names::kTwoLevelRounds), 0);
+  struct Input {
+    const char* name;
+    TestbedParams testbed;
+    DeriveComm derive;
+  };
+  const Input inputs[] = {
+      {"world", small_testbed(), nullptr},
+      {"interleaved split", dense_testbed(), interleave_nodes},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    Platform on(input.testbed);
+    Platform off(input.testbed);
+    const ByteStore reference =
+        interleaved_reference(on.ranks(), kBlock, kBlocks);
+    run_interleaved(on, "/pfs/two_on", coll_info("enable"), kBlock, kBlocks,
+                    input.derive);
+    run_interleaved(off, "/pfs/two_off", coll_info("disable"), kBlock,
+                    kBlocks, input.derive);
+    expect_matches(on.pfs, "/pfs/two_on", reference);
+    expect_matches(off.pfs, "/pfs/two_off", reference);
+    // The two-level exchange actually engaged on the enabled run.
+    namespace names = obs::names;
+    EXPECT_GT(on.metrics.counter_value(names::kTwoLevelRounds), 0);
+    EXPECT_EQ(off.metrics.counter_value(names::kTwoLevelRounds), 0);
+  }
 }
 
 TEST(TwoLevel, CachedContentMatchesFlat) {

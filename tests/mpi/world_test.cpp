@@ -19,9 +19,12 @@ TEST(Topology, BlockPlacement) {
 }
 
 TEST(Topology, RanksOnNode) {
-  const Topology t(2, 3);
-  EXPECT_EQ(t.ranks_on(1), (std::vector<int>{3, 4, 5}));
-  EXPECT_THROW((void)t.ranks_on(2), std::logic_error);
+  sim::Engine engine;
+  net::Fabric fabric(2, net::FabricParams{});
+  World world(engine, fabric, Topology(2, 3));
+  const Comm comm = world.comm(0);
+  EXPECT_EQ(comm.node_ranks(1), (std::vector<int>{3, 4, 5}));
+  EXPECT_TRUE(comm.node_ranks(2).empty());
 }
 
 TEST(Topology, ZeroSizesThrow) {
