@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "obs/report.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -55,7 +56,8 @@ ExperimentResult run_case(const Knobs& knobs, CacheCase cache_case,
   result.bandwidth_gib = result.workflow.bandwidth_gib;
   for (std::size_t p = 0; p < prof::kPhaseCount; ++p) {
     const auto phase = static_cast<prof::Phase>(p);
-    result.breakdown[phase] = platform.profiler.max_over_ranks(phase);
+    result.breakdown[phase] =
+        obs::max_over_ranks(platform.tracer.phase_totals(), phase);
   }
   return result;
 }

@@ -9,8 +9,8 @@ Status write_contig(AdioFile& fd, Offset offset, const DataView& data) {
   }
   if (data.empty()) return Status::ok();
 
-  PhaseScope scope(*fd.ctx, fd.rank(), prof::Phase::write_contig);
-  scope.span().arg("bytes", static_cast<std::int64_t>(data.size()));
+  obs::Span phase(fd.ctx->tracer, fd.rank(), prof::Phase::write_contig);
+  phase.arg("bytes", static_cast<std::int64_t>(data.size()));
 
   if (fd.cache != nullptr) {
     const Status cached =
@@ -20,9 +20,7 @@ Status write_contig(AdioFile& fd, Offset offset, const DataView& data) {
     // fall back to a direct global-file write so no data is lost.
     log::warn("adio", "cache write failed (", cached.to_string(),
               "), writing through to the global file");
-    if (fd.ctx->metrics != nullptr) {
-      fd.ctx->metrics->counter(obs::names::kCacheFallbackWrites).increment();
-    }
+    fd.ctx->metrics.counter(obs::names::kCacheFallbackWrites).increment();
   }
   return fd.ctx->pfs.write(fd.handle, offset, data);
 }
@@ -49,9 +47,7 @@ WriteHandle iwrite_contig(AdioFile& fd, Offset offset, const DataView& data) {
       // data is lost, same as the blocking path.
       log::warn("adio", "cache write failed (", cached.status().to_string(),
                 "), writing through to the global file");
-      if (fd.ctx->metrics != nullptr) {
-        fd.ctx->metrics->counter(obs::names::kCacheFallbackWrites).increment();
-      }
+      fd.ctx->metrics.counter(obs::names::kCacheFallbackWrites).increment();
     }
   }
   if (!done) {
@@ -74,22 +70,18 @@ Result<DataView> read_contig(AdioFile& fd, Offset offset, Offset length) {
   }
   if (length == 0) return DataView();
 
-  PhaseScope scope(*fd.ctx, fd.rank(), prof::Phase::read_contig);
-  scope.span().arg("bytes", static_cast<std::int64_t>(length));
+  obs::Span phase(fd.ctx->tracer, fd.rank(), prof::Phase::read_contig);
+  phase.arg("bytes", static_cast<std::int64_t>(length));
 
   // EXTENSION (paper §VI future work, off by default): serve the read from
   // the local cache when the whole extent is cached here. The layout map in
   // CacheFile provides the metadata §III-B says generic cache reads need.
   if (fd.cache != nullptr && fd.hints.e10_cache_read) {
     if (auto hit = fd.cache->try_read(Extent{offset, length})) {
-      if (fd.ctx->metrics != nullptr) {
-        fd.ctx->metrics->counter(obs::names::kCacheReadHitBytes).add(length);
-      }
+      fd.ctx->metrics.counter(obs::names::kCacheReadHitBytes).add(length);
       return std::move(*hit);
     }
-    if (fd.ctx->metrics != nullptr) {
-      fd.ctx->metrics->counter(obs::names::kCacheReadMisses).increment();
-    }
+    fd.ctx->metrics.counter(obs::names::kCacheReadMisses).increment();
   }
 
   // Otherwise reads are served by the global file; the cache is write-only

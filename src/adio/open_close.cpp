@@ -47,7 +47,7 @@ std::pair<Driver, std::string> parse_driver_path(const std::string& path) {
 Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
                                             const std::string& path, int mode,
                                             const mpi::Info& info) {
-  PhaseScope phase(ctx, comm.rank(), prof::Phase::open);
+  obs::Span phase(ctx.tracer, comm.rank(), prof::Phase::open);
   auto fd = std::make_unique<AdioFile>();
   fd->ctx = &ctx;
   fd->comm = comm;
@@ -148,8 +148,8 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
     params.global_path = fd->path;
     params.cache_path = cache_file_name(fd->hints, fd->path, comm.rank());
     params.rank = comm.rank();
-    params.metrics = ctx.metrics;
-    params.tracer = ctx.tracer;
+    params.metrics = &ctx.metrics;
+    params.tracer = &ctx.tracer;
     params.coherent = fd->hints.e10_cache == CacheMode::coherent;
     params.discard = fd->hints.e10_cache_discard;
     params.staging_bytes = fd->hints.ind_wr_buffer_size;
@@ -162,11 +162,10 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
     // journaling is on when asked for by hint, or automatically whenever
     // the armed plan contains rank crashes (a crash without a journal
     // cannot be replayed).
-    params.fault = ctx.fault;
+    params.fault = &ctx.fault;
     params.journal =
         fd->hints.e10_cache_journal ||
-        (ctx.fault != nullptr && ctx.fault->armed() &&
-         ctx.fault->plan().has_crashes());
+        (ctx.fault.armed() && ctx.fault.plan().has_crashes());
     switch (fd->hints.e10_cache_flush_flag) {
       case FlushFlag::flush_immediate:
         params.flush = cache::FlushPolicy::immediate;
@@ -194,7 +193,7 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
 }
 
 Status close(AdioFile& fd) {
-  PhaseScope phase(*fd.ctx, fd.rank(), prof::Phase::close);
+  obs::Span phase(fd.ctx->tracer, fd.rank(), prof::Phase::close);
   Status my_status = Status::ok();
 
   if (fd.cache != nullptr) {
@@ -202,7 +201,7 @@ Status close(AdioFile& fd) {
     // global file before the close returns (§III-A). The wait time here is
     // the "not hidden" portion of the synchronisation cost.
     {
-      PhaseScope wait(*fd.ctx, fd.rank(), prof::Phase::flush_wait);
+      obs::Span wait(fd.ctx->tracer, fd.rank(), prof::Phase::flush_wait);
       my_status = fd.cache->flush();
     }
     const Status closed = fd.cache->close();
@@ -230,7 +229,7 @@ Status close(AdioFile& fd) {
 Status flush(AdioFile& fd) {
   Status my_status = Status::ok();
   if (fd.cache != nullptr) {
-    PhaseScope wait(*fd.ctx, fd.rank(), prof::Phase::flush_wait);
+    obs::Span wait(fd.ctx->tracer, fd.rank(), prof::Phase::flush_wait);
     my_status = fd.cache->flush();
   } else {
     my_status = fd.ctx->pfs.sync(fd.handle);

@@ -45,20 +45,18 @@ WritePipeline::WritePipeline(AdioFile& fd, bool enabled)
       enabled_(enabled),
       state_var_(fd.ctx->engine, "adio.pipeline:" + fd.path + ":r" +
                                      std::to_string(fd.rank())) {
-  if (obs::MetricsRegistry* metrics = fd.ctx->metrics) {
-    // Instrument resolution mutates the shared registry from every rank's
-    // collective call; claim the registry monitor for the checker.
-    const sim::MonitorGuard monitor(fd.ctx->engine, metrics,
-                                    obs::names::kMetricsMonitor);
-    sim::shared_access(fd.ctx->engine, metrics,
-                       obs::names::kMetricsRegistryVar,
-                       /*is_write=*/true, E10_SITE);
-    writes_counter_ = &metrics->counter(obs::names::kPipelineWrites);
-    stalls_counter_ = &metrics->counter(obs::names::kPipelineStalls);
-    stall_ns_counter_ = &metrics->counter(obs::names::kPipelineStallNs);
-    write_ns_counter_ = &metrics->counter(obs::names::kPipelineWriteNs);
-    hidden_ns_counter_ = &metrics->counter(obs::names::kPipelineHiddenNs);
-  }
+  // Instrument resolution mutates the shared registry from every rank's
+  // collective call; claim the registry monitor for the checker.
+  obs::MetricsRegistry& metrics = fd.ctx->metrics;
+  const sim::MonitorGuard monitor(fd.ctx->engine, &metrics,
+                                  obs::names::kMetricsMonitor);
+  sim::shared_access(fd.ctx->engine, &metrics, obs::names::kMetricsRegistryVar,
+                     /*is_write=*/true, E10_SITE);
+  writes_counter_ = &metrics.counter(obs::names::kPipelineWrites);
+  stalls_counter_ = &metrics.counter(obs::names::kPipelineStalls);
+  stall_ns_counter_ = &metrics.counter(obs::names::kPipelineStallNs);
+  write_ns_counter_ = &metrics.counter(obs::names::kPipelineWriteNs);
+  hidden_ns_counter_ = &metrics.counter(obs::names::kPipelineHiddenNs);
 }
 
 // e10-lint-allow(unwind-blocking): drain() is gated on uncaught_exceptions
@@ -101,7 +99,7 @@ Status WritePipeline::issue_round(Offset round,
     WriteHandle handle =
         iwrite_contig(fd_, pieces[i].file.offset, DataView::concat(parts));
     if (!handle.status.is_ok() && status.is_ok()) status = handle.status;
-    if (writes_counter_ != nullptr) writes_counter_->increment();
+    writes_counter_->increment();
     entry.handles.push_back(std::move(handle));
     i = j;
   }
@@ -125,9 +123,9 @@ void WritePipeline::join_oldest() {
   InFlightRound entry = std::move(in_flight_.front());
   in_flight_.pop_front();
   // The stall (if any) is write time the pipeline failed to hide; it lands
-  // in the same profiler phase the blocking write path charged.
-  PhaseScope scope(*fd_.ctx, fd_.rank(), prof::Phase::write_contig);
-  scope.span().arg("round", static_cast<std::int64_t>(entry.round));
+  // in the same phase the blocking write path charged.
+  obs::Span phase(fd_.ctx->tracer, fd_.rank(), prof::Phase::write_contig);
+  phase.arg("round", static_cast<std::int64_t>(entry.round));
   for (WriteHandle& handle : entry.handles) {
     const Time join_at = fd_.ctx->engine.now();
     if (handle.request.valid()) handle.request.wait();
@@ -140,12 +138,10 @@ void WritePipeline::join_oldest() {
       causal->bridge(sim::EdgeKind::write_join, fd_.ctx->engine.current(),
                      handle.issued, handle.done);
     }
-    if (write_ns_counter_ != nullptr) {
-      write_ns_counter_->add(handle.done - handle.issued);
-      hidden_ns_counter_->add(outcome.hidden);
-      stall_ns_counter_->add(outcome.stall);
-      if (outcome.stall > 0) stalls_counter_->increment();
-    }
+    write_ns_counter_->add(handle.done - handle.issued);
+    hidden_ns_counter_->add(outcome.hidden);
+    stall_ns_counter_->add(outcome.stall);
+    if (outcome.stall > 0) stalls_counter_->increment();
   }
   // The joined writes' completion synchronised with this rank: ownership of
   // the buffer (and the handle bookkeeping) is exclusively ours again.

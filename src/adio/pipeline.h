@@ -140,7 +140,7 @@ class WritePipeline {
   /// Pipeline bookkeeping is single-owner state of the issuing rank; the
   /// checker verifies nothing else ever touches it.
   sim::SharedVar state_var_;
-  // Resolved once; null when no registry is attached.
+  // Resolved once, at construction.
   obs::Counter* writes_counter_ = nullptr;
   obs::Counter* stalls_counter_ = nullptr;
   obs::Counter* stall_ns_counter_ = nullptr;

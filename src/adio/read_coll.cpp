@@ -43,7 +43,7 @@ Result<std::vector<DataView>> read_strided_coll(
   }
   std::vector<std::pair<Offset, Offset>> all_offsets;
   {
-    PhaseScope scope(ctx, me, prof::Phase::offset_exchange);
+    obs::Span phase(ctx.tracer, me, prof::Phase::offset_exchange);
     all_offsets = comm.allgather(std::make_pair(my_start, my_end),
                                  Offset{2} * sizeof(Offset));
   }
@@ -111,7 +111,7 @@ Result<std::vector<DataView>> read_strided_coll(
     }
     std::vector<std::vector<Extent>> incoming;
     {
-      PhaseScope scope(ctx, me, prof::Phase::shuffle_all2all);
+      obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_all2all);
       incoming = comm.alltoall(requests_by_rank, 2 * sizeof(Offset) * 4);
     }
     for (const auto& [agg_index, extents] : round_plan) {
@@ -183,7 +183,7 @@ Result<std::vector<DataView>> read_strided_coll(
     }
 
     {
-      PhaseScope scope(ctx, me, prof::Phase::exchange);
+      obs::Span phase(ctx.tracer, me, prof::Phase::exchange);
       mpi::Request::wait_all(recv_requests);
       mpi::Request::wait_all(send_requests);
     }
@@ -198,7 +198,7 @@ Result<std::vector<DataView>> read_strided_coll(
   }
 
   {
-    PhaseScope scope(ctx, me, prof::Phase::post_write);
+    obs::Span phase(ctx.tracer, me, prof::Phase::post_write);
     const Status agreed = agree_status(comm, my_status);
     if (!agreed.is_ok()) return agreed;
   }

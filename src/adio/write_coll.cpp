@@ -33,7 +33,6 @@
 #include "adio/coll_common.h"
 #include "adio/pipeline.h"
 #include "adio/round_plan.h"
-#include "common/log.h"
 
 namespace e10::adio {
 
@@ -97,7 +96,7 @@ Status write_strided_coll(AdioFile& fd,
   }
   std::vector<std::pair<Offset, Offset>> all_offsets;
   {
-    PhaseScope scope(ctx, me, prof::Phase::offset_exchange);
+    obs::Span phase(ctx.tracer, me, prof::Phase::offset_exchange);
     all_offsets = comm.allgather(std::make_pair(my_start, my_end),
                                  Offset{2} * sizeof(Offset));
   }
@@ -115,7 +114,7 @@ Status write_strided_coll(AdioFile& fd,
   if (fd.hints.romio_cb_write == Toggle::disable ||
       (fd.hints.romio_cb_write == Toggle::automatic && !interleaved)) {
     const Status independent = write_strided(fd, mine);
-    PhaseScope scope(ctx, me, prof::Phase::post_write);
+    obs::Span phase(ctx.tracer, me, prof::Phase::post_write);
     return agree_status(comm, independent);
   }
 
@@ -129,7 +128,7 @@ Status write_strided_coll(AdioFile& fd,
   }
   if (gmin == kNoOffset) {
     // Nobody has data; stay collective and agree on success.
-    PhaseScope scope(ctx, me, prof::Phase::post_write);
+    obs::Span phase(ctx.tracer, me, prof::Phase::post_write);
     return agree_status(comm, Status::ok());
   }
 
@@ -137,7 +136,7 @@ Status write_strided_coll(AdioFile& fd,
   std::vector<Extent> domains;
   std::vector<RoundPlan<mpi::IoPiece>> plan;
   {
-    PhaseScope scope(ctx, me, prof::Phase::calc);
+    obs::Span phase(ctx.tracer, me, prof::Phase::calc);
 
     // The BeeGFS/Lustre driver aligns file domains to stripe boundaries so
     // aggregators never false-share a stripe lock (paper footnote 1).
@@ -171,22 +170,20 @@ Status write_strided_coll(AdioFile& fd,
 
   // --- Step 3: rounds of dissemination + shuffle + write -------------------
   Status my_status = Status::ok();
-  obs::Histogram* a2a_hist = nullptr;
+  obs::Histogram& a2a_hist = ctx.metrics.histogram(
+      obs::names::kAlltoallSendBytes, obs::exponential_bounds(4096, 14));
+  // Resolved only on the two-level path, so flat runs' metrics omit them.
   obs::Counter* tl_rounds = nullptr;
   obs::Counter* tl_intra_msgs = nullptr;
   obs::Counter* tl_intra_bytes = nullptr;
   obs::Counter* tl_inter_msgs = nullptr;
   obs::Counter* tl_inter_bytes = nullptr;
-  if (ctx.metrics != nullptr) {
-    a2a_hist = &ctx.metrics->histogram(obs::names::kAlltoallSendBytes,
-                                       obs::exponential_bounds(4096, 14));
-    if (fd.two_level) {
-      tl_rounds = &ctx.metrics->counter(obs::names::kTwoLevelRounds);
-      tl_intra_msgs = &ctx.metrics->counter(obs::names::kTwoLevelIntraMsgs);
-      tl_intra_bytes = &ctx.metrics->counter(obs::names::kTwoLevelIntraBytes);
-      tl_inter_msgs = &ctx.metrics->counter(obs::names::kTwoLevelInterMsgs);
-      tl_inter_bytes = &ctx.metrics->counter(obs::names::kTwoLevelInterBytes);
-    }
+  if (fd.two_level) {
+    tl_rounds = &ctx.metrics.counter(obs::names::kTwoLevelRounds);
+    tl_intra_msgs = &ctx.metrics.counter(obs::names::kTwoLevelIntraMsgs);
+    tl_intra_bytes = &ctx.metrics.counter(obs::names::kTwoLevelIntraBytes);
+    tl_inter_msgs = &ctx.metrics.counter(obs::names::kTwoLevelInterMsgs);
+    tl_inter_bytes = &ctx.metrics.counter(obs::names::kTwoLevelInterBytes);
   }
 
   // Two-level topology, fixed for the operation (pure computation — no
@@ -255,13 +252,12 @@ Status write_strided_coll(AdioFile& fd,
   std::vector<mpi::Request> requests;
   std::vector<mpi::IoPiece> received;
   for (Offset round = 0; round < ntimes; ++round) {
-    const Time tr0 = ctx.engine.now();
     auto& round_plan = plan[static_cast<std::size_t>(round)];
 
     obs::Span round_span;
-    if (ctx.tracer != nullptr && ctx.tracer->enabled()) {
+    if (ctx.tracer.enabled()) {
       round_span =
-          obs::Span(ctx.tracer, ctx.tracer->rank_track(me), "write_round");
+          obs::Span(&ctx.tracer, ctx.tracer.rank_track(me), "write_round");
       round_span.arg("round", static_cast<std::int64_t>(round));
       round_span.arg("pipelined",
                      static_cast<std::int64_t>(pipeline.enabled() ? 1 : 0));
@@ -279,14 +275,14 @@ Status write_strided_coll(AdioFile& fd,
       // The per-sender histogram: flat mode observes every rank's per-
       // aggregator flow; two-level mode observes the leaders' merged flows
       // below, after the intra-node gather.
-      if (a2a_hist != nullptr && !fd.two_level) a2a_hist->observe(bytes);
+      if (!fd.two_level) a2a_hist.observe(bytes);
     }
     round_span.arg("send_bytes", static_cast<std::int64_t>(round_send_bytes));
 
     if (!fd.two_level) {
       // ---- Flat exchange (classic ext2ph) --------------------------------
       {
-        PhaseScope scope(ctx, me, prof::Phase::shuffle_all2all);
+        obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_all2all);
         comm.alltoall_counts(send_counts,
                              fd.is_aggregator() ? &recv_counts : nullptr);
       }
@@ -314,13 +310,12 @@ Status write_strided_coll(AdioFile& fd,
                                       std::move(pieces), bytes));
       }
       {
-        PhaseScope scope(ctx, me, prof::Phase::exchange);
-        scope.span().arg("requests",
+        obs::Span phase(ctx.tracer, me, prof::Phase::exchange);
+        phase.arg("requests",
                          static_cast<std::int64_t>(requests.size()));
         mpi::Request::wait_all(requests);
       }
 
-      const Time tr1 = ctx.engine.now();
       if (fd.is_aggregator() && nrecv > 0) {
         received.clear();
         for (std::size_t i = 0; i < nrecv; ++i) {
@@ -334,10 +329,6 @@ Status write_strided_coll(AdioFile& fd,
         const Status written = pipeline.issue_round(round, received);
         if (my_status.is_ok()) my_status = written;
       }
-      log::debug("adio", "write_coll round ", round,
-                 ": a2a+exch=", units::to_milliseconds(tr1 - tr0),
-                 "ms write=", units::to_milliseconds(ctx.engine.now() - tr1),
-                 "ms");
       continue;
     }
 
@@ -347,29 +338,25 @@ Status write_strided_coll(AdioFile& fd,
     // exactly like the flat shuffle overlaps under the pipeline.
     const int tag_gather = 2 * static_cast<int>(round);
     const int tag_data = tag_gather + 1;
-    if (tl_rounds != nullptr && me == leader_ranks.front()) {
-      tl_rounds->increment();
-    }
+    if (me == leader_ranks.front()) tl_rounds->increment();
 
     // Stage 1: gather this node's buckets to the leader (shared memory).
     // Members always send — possibly an empty bucket — so the leader's
     // per-member receive matching stays deterministic.
     RoundPlan<mpi::IoPiece> merged;
     if (me != my_leader) {
-      PhaseScope scope(ctx, me, prof::Phase::shuffle_intra);
+      obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_intra);
       mpi::Request req = comm.isend(my_leader, tag_gather,
                                     std::move(round_plan), round_send_bytes);
       req.wait();
-      if (tl_intra_msgs != nullptr) {
-        tl_intra_msgs->increment();
-        tl_intra_bytes->add(round_send_bytes);
-      }
+      tl_intra_msgs->increment();
+      tl_intra_bytes->add(round_send_bytes);
     } else {
       merged = std::move(round_plan);
       std::vector<mpi::Request> gathers;
       {
-        PhaseScope scope(ctx, me, prof::Phase::shuffle_intra);
-        scope.span().arg("members",
+        obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_intra);
+        phase.arg("members",
                          static_cast<std::int64_t>(my_members.size()));
         for (int r : my_members) {
           if (r != me) gathers.push_back(comm.irecv(r, tag_gather));
@@ -406,7 +393,7 @@ Status write_strided_coll(AdioFile& fd,
     std::vector<mpi::IoPiece> local;
     received.clear();
     {
-      PhaseScope scope(ctx, me, prof::Phase::shuffle_inter);
+      obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_inter);
       if (fd.is_aggregator()) {
         const Extent my_window = window(my_agg_index, round);
         for (std::size_t l = 0; l < leader_ranks.size(); ++l) {
@@ -449,15 +436,13 @@ Status write_strided_coll(AdioFile& fd,
             for (const mpi::IoPiece& piece : segments[s]) {
               bytes += piece.file.length;
             }
-            if (a2a_hist != nullptr) a2a_hist->observe(bytes);
-            if (tl_inter_msgs != nullptr) {
-              if (same_node) {
-                tl_intra_msgs->increment();
-                tl_intra_bytes->add(bytes);
-              } else {
-                tl_inter_msgs->increment();
-                tl_inter_bytes->add(bytes);
-              }
+            a2a_hist.observe(bytes);
+            if (same_node) {
+              tl_intra_msgs->increment();
+              tl_intra_bytes->add(bytes);
+            } else {
+              tl_inter_msgs->increment();
+              tl_inter_bytes->add(bytes);
             }
             // Segment 0 doubles as the manifest carrying the extra count.
             sends.push_back(
@@ -492,21 +477,16 @@ Status write_strided_coll(AdioFile& fd,
                           std::make_move_iterator(more.end()));
         }
       }
-      scope.span().arg("requests", static_cast<std::int64_t>(
+      phase.arg("requests", static_cast<std::int64_t>(
                                        sends.size() + manifests.size()));
       mpi::Request::wait_all(sends);
     }
 
-    const Time tr1 = ctx.engine.now();
     if (fd.is_aggregator() && !received.empty()) {
       received = sorted_by_offset(std::move(received));
       const Status written = pipeline.issue_round(round, received);
       if (my_status.is_ok()) my_status = written;
     }
-    log::debug("adio", "write_coll two-level round ", round,
-               ": a2a+exch=", units::to_milliseconds(tr1 - tr0),
-               "ms write=", units::to_milliseconds(ctx.engine.now() - tr1),
-               "ms");
   }
 
   // Join every in-flight write before agreeing on the outcome; the drain
@@ -515,7 +495,7 @@ Status write_strided_coll(AdioFile& fd,
 
   // --- Step 4: error-code exchange -----------------------------------------
   {
-    PhaseScope scope(ctx, me, prof::Phase::post_write);
+    obs::Span phase(ctx.tracer, me, prof::Phase::post_write);
     return agree_status(comm, my_status);
   }
 }

@@ -9,9 +9,7 @@ namespace {
 /// Mirror a WrapStats bump into the shared registry (wrapper operations are
 /// rare — one per open/close — so the name lookup is fine here).
 void bump(adio::IoContext* ctx, const char* name) {
-  if (ctx->metrics != nullptr) {
-    ctx->metrics->counter(std::string("mpiwrap.") + name).increment();
-  }
+  ctx->metrics.counter(std::string("mpiwrap.") + name).increment();
 }
 }  // namespace
 

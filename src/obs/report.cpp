@@ -1,30 +1,50 @@
 #include "obs/report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/units.h"
 
 namespace e10::obs {
 
-Json phase_table_json(const prof::Profiler& profiler) {
+Time max_over_ranks(const PhaseTotals& totals, prof::Phase phase) {
+  Time best = 0;
+  for (const auto& row : totals) {
+    best = std::max(best, row[static_cast<std::size_t>(phase)]);
+  }
+  return best;
+}
+
+Json phase_table_json(const PhaseTotals& totals) {
+  if (totals.empty()) throw std::logic_error("phase_table_json: no ranks");
+  const auto seconds = [](Time t) {
+    return Json::number(units::to_seconds(t));
+  };
   Json table = Json::object();
+  std::vector<Time> column(totals.size());
   for (std::size_t p = 0; p < prof::kPhaseCount; ++p) {
-    const auto phase = static_cast<prof::Phase>(p);
+    Time sum = 0;
+    for (std::size_t r = 0; r < totals.size(); ++r) {
+      column[r] = totals[r][p];
+      sum += column[r];
+    }
+    std::sort(column.begin(), column.end());
+    // Nearest-rank: smallest value with at least ceil(q * n) values <= it.
+    const auto percentile = [&column](double q) {
+      const auto n = static_cast<double>(column.size());
+      const auto index = static_cast<std::size_t>(std::ceil(q * n)) - 1;
+      return column[std::min(index, column.size() - 1)];
+    };
     Json row = Json::object();
-    row.set("min_s", Json::number(
-                         units::to_seconds(profiler.min_over_ranks(phase))));
-    row.set("p50_s", Json::number(units::to_seconds(
-                         profiler.percentile_over_ranks(phase, 0.50))));
-    row.set("p95_s", Json::number(units::to_seconds(
-                         profiler.percentile_over_ranks(phase, 0.95))));
-    row.set("p99_s", Json::number(units::to_seconds(
-                         profiler.percentile_over_ranks(phase, 0.99))));
-    row.set("avg_s", Json::number(
-                         units::to_seconds(profiler.avg_over_ranks(phase))));
-    row.set("max_s", Json::number(
-                         units::to_seconds(profiler.max_over_ranks(phase))));
-    table.set(prof::phase_name(phase), std::move(row));
+    row.set("min_s", seconds(column.front()));
+    row.set("p50_s", seconds(percentile(0.50)));
+    row.set("p95_s", seconds(percentile(0.95)));
+    row.set("p99_s", seconds(percentile(0.99)));
+    row.set("avg_s", seconds(sum / static_cast<Time>(column.size())));
+    row.set("max_s", seconds(column.back()));
+    table.set(prof::phase_name(static_cast<prof::Phase>(p)), std::move(row));
   }
   return table;
 }
@@ -38,8 +58,8 @@ Json run_report_json(const RunReportInputs& inputs) {
   }
   report.set("config", std::move(config));
 
-  if (inputs.profiler != nullptr) {
-    report.set("phases", phase_table_json(*inputs.profiler));
+  if (inputs.phases != nullptr) {
+    report.set("phases", phase_table_json(*inputs.phases));
   }
   if (inputs.metrics != nullptr) {
     report.set("metrics", inputs.metrics->as_json());
@@ -58,15 +78,15 @@ Json run_report_json(const RunReportInputs& inputs) {
 }
 
 double flush_overlap_ratio(const MetricsRegistry& metrics,
-                           const prof::Profiler& profiler) {
+                           const PhaseTotals& totals) {
   const std::int64_t busy = metrics.counter_value(names::kSyncBusyNs);
   if (busy <= 0) return 0.0;
   // What each rank actually waited on its own sync grequests. The
   // not_hidden_sync phase would over-count: it times the collective close,
   // whose barrier charges the slowest rank's wait to everyone.
   Time visible = 0;
-  for (int rank = 0; rank < profiler.ranks(); ++rank) {
-    visible += profiler.rank_total(rank, prof::Phase::flush_wait);
+  for (const auto& row : totals) {
+    visible += row[static_cast<std::size_t>(prof::Phase::flush_wait)];
   }
   const double hidden =
       static_cast<double>(busy) - static_cast<double>(visible);

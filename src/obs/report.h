@@ -1,5 +1,5 @@
 // Run-report emitter: serialises one experiment run — configuration,
-// profiler phase table, metrics snapshot and derived quantities (perceived
+// phase table over ranks, metrics snapshot and derived quantities (perceived
 // bandwidth, flush-overlap ratio) — into a single machine-readable JSON
 // object. Every figure spec of bench_sweep dumps one with --report=<path>,
 // making runs comparable across PRs without screen-scraping the printed
@@ -13,17 +13,25 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "prof/profiler.h"
+#include "obs/trace.h"
 
 namespace e10::obs {
 
-/// Per-phase min/p50/p95/avg/max table (seconds) of a profiler.
-Json phase_table_json(const prof::Profiler& profiler);
+/// Largest per-rank total of `phase`: the "slowest path" contribution the
+/// stacked figures show.
+Time max_over_ranks(const PhaseTotals& totals, prof::Phase phase);
+
+/// Per-phase min/p50/p95/p99/avg/max over ranks (seconds); every rank's
+/// row counts, zeros included, and the percentiles are nearest-rank (the
+/// p50 -> max spread is the straggler signature a max/avg pair hides).
+/// Throws std::logic_error on a table without ranks.
+Json phase_table_json(const PhaseTotals& totals);
 
 struct RunReportInputs {
   /// Experiment configuration as flat key/value pairs (hints, testbed).
   std::vector<std::pair<std::string, std::string>> config;
-  const prof::Profiler* profiler = nullptr;
+  /// Per-rank phase totals (Tracer::phase_totals()); no "phases" while null.
+  const PhaseTotals* phases = nullptr;
   const MetricsRegistry* metrics = nullptr;
   /// Derived quantities (perceived_bandwidth_gib, flush_overlap_ratio, ...).
   std::map<std::string, double> derived;
@@ -45,7 +53,7 @@ Json run_report_json(const RunReportInputs& inputs);
 /// the whole collective close, so the barrier smears the slowest rank's
 /// wait across every rank.) 0 when no sync work happened.
 double flush_overlap_ratio(const MetricsRegistry& metrics,
-                           const prof::Profiler& profiler);
+                           const PhaseTotals& totals);
 
 Status write_json_file(const std::string& path, const Json& value);
 

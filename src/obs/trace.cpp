@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "obs/json.h"
 
@@ -10,53 +11,86 @@ namespace e10::obs {
 Span::Span(Tracer* tracer, int track, std::string_view name) {
   if (tracer == nullptr || !tracer->enabled()) return;
   tracer_ = tracer;
+  start_ = tracer->engine_.now();
+  begin_event(*tracer, track, name);
+}
+
+Span::Span(Tracer& tracer, int rank, prof::Phase phase) {
+  if (rank < 0 ||
+      static_cast<std::size_t>(rank) >= tracer.phase_totals_.size()) {
+    throw std::logic_error("obs::Span: rank outside the phase totals");
+  }
+  tracer_ = &tracer;
+  total_ = &tracer.phase_totals_[static_cast<std::size_t>(rank)]
+                                [static_cast<std::size_t>(phase)];
+  start_ = tracer.engine_.now();
+  if (tracer.enabled()) {
+    begin_event(tracer, tracer.rank_track(rank), prof::phase_name(phase));
+  }
+}
+
+void Span::begin_event(Tracer& tracer, int track, std::string_view name) {
+  traced_ = true;
   track_ = track;
   name_ = name;
-  start_ = tracer->engine_.now();
-  pid_ = tracer->engine_.in_process() ? tracer->engine_.current()
-                                      : sim::kNoProcess;
-  ++tracer->open_spans_;
-  if (pid_ != sim::kNoProcess) tracer->pid_tracks_[pid_] = track;
+  pid_ = tracer.engine_.in_process() ? tracer.engine_.current()
+                                     : sim::kNoProcess;
+  ++tracer.open_spans_;
+  if (pid_ != sim::kNoProcess) tracer.pid_tracks_[pid_] = track;
 }
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     end();
     tracer_ = other.tracer_;
+    total_ = other.total_;
+    traced_ = other.traced_;
     track_ = other.track_;
     start_ = other.start_;
     pid_ = other.pid_;
     name_ = std::move(other.name_);
     args_ = std::move(other.args_);
     other.tracer_ = nullptr;
+    other.traced_ = false;
   }
   return *this;
 }
 
 void Span::arg(std::string_view key, std::int64_t value) {
-  if (tracer_ == nullptr) return;
+  if (!traced_) return;
   args_.push_back(SpanArg{std::string(key), {}, value, /*numeric=*/true});
 }
 
 void Span::arg(std::string_view key, std::string_view value) {
-  if (tracer_ == nullptr) return;
+  if (!traced_) return;
   args_.push_back(
       SpanArg{std::string(key), std::string(value), 0, /*numeric=*/false});
 }
 
-void Span::end() {
-  if (tracer_ == nullptr) return;
-  Tracer::Event event;
-  event.phase = 'X';
-  event.track = track_;
-  event.ts = start_;
-  event.dur = tracer_->engine_.now() - start_;
-  event.pid = pid_;
-  event.name = std::move(name_);
-  event.args = std::move(args_);
-  tracer_->events_.push_back(std::move(event));
-  --tracer_->open_spans_;
+Time Span::end() {
+  if (tracer_ == nullptr) return 0;
+  const Time length = tracer_->engine_.now() - start_;
+  if (total_ != nullptr) *total_ += length;
+  if (traced_) {
+    Tracer::Event event;
+    event.phase = 'X';
+    event.track = track_;
+    event.ts = start_;
+    event.dur = length;
+    event.pid = pid_;
+    event.name = std::move(name_);
+    event.args = std::move(args_);
+    tracer_->events_.push_back(std::move(event));
+    --tracer_->open_spans_;
+  }
   tracer_ = nullptr;
+  traced_ = false;
+  return length;
+}
+
+Tracer::Tracer(sim::Engine& engine, int ranks) : engine_(engine) {
+  if (ranks < 0) throw std::logic_error("obs::Tracer: ranks < 0");
+  phase_totals_.resize(static_cast<std::size_t>(ranks));
 }
 
 int Tracer::track(const std::string& name, int sort_index) {

@@ -7,9 +7,14 @@
 // counter samples (e.g. sync queue depth over time). The output loads
 // directly in chrome://tracing or https://ui.perfetto.dev.
 //
-// Tracing is off by default; a Span on a disabled tracer costs one branch.
+// The tracer is also the run's one record of phase intervals: a phase span
+// (a rank and a prof::Phase) always adds its interval to the per-rank phase
+// totals the breakdown figures and the run report are built from, and is a
+// trace event only while tracing is enabled. Tracing is off by default; a
+// named Span on a disabled tracer costs one branch.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,11 +23,15 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "prof/phase.h"
 #include "sim/engine.h"
 
 namespace e10::obs {
 
 class Tracer;
+
+/// Per-rank phase totals: row r holds rank r's summed time in each phase.
+using PhaseTotals = std::vector<std::array<Time, prof::kPhaseCount>>;
 
 /// One key/value attribute attached to a span ("args" in the trace JSON).
 struct SpanArg {
@@ -33,29 +42,40 @@ struct SpanArg {
 };
 
 /// RAII span: starts at construction, ends at destruction (or end()), both
-/// timestamped in virtual time. Inactive (moved-from / disabled-tracer)
-/// spans are free.
+/// timestamped in virtual time. A moved-from span, and a named span on a
+/// disabled tracer, are inactive and free.
 class Span {
  public:
   Span() = default;
+  /// Named span on `track`; inactive unless the tracer is enabled.
   Span(Tracer* tracer, int track, std::string_view name);
+  /// Phase span of communicator rank `rank`: when it ends, its interval is
+  /// added to the tracer's phase totals whether or not tracing is on; while
+  /// tracing it is also an event named after the phase on the rank's
+  /// track. Throws std::logic_error for a rank outside the totals.
+  Span(Tracer& tracer, int rank, prof::Phase phase);
   Span(Span&& other) noexcept { *this = std::move(other); }
   Span& operator=(Span&& other) noexcept;
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   ~Span() { end(); }
 
-  /// Attaches an attribute (no-op on an inactive span).
+  /// Attaches an attribute (no-op unless the span is traced).
   void arg(std::string_view key, std::int64_t value);
   void arg(std::string_view key, std::string_view value);
 
-  /// Ends the span now instead of at destruction.
-  void end();
+  /// Ends the span now instead of at destruction and returns its length
+  /// (0 for an inactive span).
+  Time end();
 
   bool active() const { return tracer_ != nullptr; }
 
  private:
-  Tracer* tracer_ = nullptr;
+  void begin_event(Tracer& tracer, int track, std::string_view name);
+
+  Tracer* tracer_ = nullptr;  // null once ended
+  Time* total_ = nullptr;     // phase spans: the rank's phase total
+  bool traced_ = false;       // open and appending a trace event at end
   int track_ = 0;
   Time start_ = 0;
   sim::ProcessId pid_ = sim::kNoProcess;
@@ -84,12 +104,18 @@ class Tracer {
     int sort_index = 0;
   };
 
-  explicit Tracer(sim::Engine& engine) : engine_(engine) {}
+  /// `ranks` rows of phase totals, one per rank a phase span may name.
+  explicit Tracer(sim::Engine& engine, int ranks = 0);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
+  /// Whether spans, counters, instants and flows are recorded as events.
+  /// Phase totals are kept either way.
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
+
+  /// The summed interval of every ended phase span, per rank and phase.
+  const PhaseTotals& phase_totals() const { return phase_totals_; }
 
   /// Registers (or looks up) a named track — one "thread" row in the
   /// viewer. `sort_index` orders tracks top-to-bottom; -1 appends after
@@ -123,6 +149,7 @@ class Tracer {
   std::size_t open_spans() const { return open_spans_; }
   const std::vector<Event>& event_list() const { return events_; }
   const std::vector<TrackInfo>& track_list() const { return tracks_; }
+  /// Drops every event and track; the phase totals stay.
   void clear();
 
   /// Chrome trace-event JSON: {"traceEvents": [...]} with thread-name
@@ -143,6 +170,7 @@ class Tracer {
   std::vector<int> rank_tracks_;  // rank -> track id (-1 unregistered)
   std::unordered_map<sim::ProcessId, int> pid_tracks_;
   std::vector<Event> events_;
+  PhaseTotals phase_totals_;  // sized once: spans hold pointers into it
 };
 
 }  // namespace e10::obs

@@ -136,9 +136,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   result.workflow = run_workflow(platform, *workload, workflow);
   result.bandwidth_gib = result.workflow.bandwidth_gib;
   result.engine_stats = platform.engine.stats();
+  const obs::PhaseTotals& phases = platform.tracer.phase_totals();
   for (std::size_t p = 0; p < prof::kPhaseCount; ++p) {
     const auto phase = static_cast<prof::Phase>(p);
-    result.breakdown[phase] = platform.profiler.max_over_ranks(phase);
+    result.breakdown[phase] = obs::max_over_ranks(phases, phase);
   }
 
   // Collect the observability outputs before the platform is destroyed.
@@ -159,7 +160,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   result.sync.queue_depth_high_water = static_cast<std::uint64_t>(
       metrics.gauge_high_water(names::kSyncQueueDepth));
   result.flush_overlap_ratio =
-      obs::flush_overlap_ratio(platform.metrics, platform.profiler);
+      obs::flush_overlap_ratio(platform.metrics, phases);
   {
     // Flush-scheduler figures of merit (satellite of the paper's §III-A
     // drain): how many sync requests coalesced into each batch, the drain
@@ -207,7 +208,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     inputs.config.emplace_back("hint." + key,
                                workflow.hints.get_or(key, ""));
   }
-  inputs.profiler = &platform.profiler;
+  inputs.phases = &phases;
   inputs.metrics = &platform.metrics;
   inputs.derived["perceived_bandwidth_gib"] = result.bandwidth_gib;
   inputs.derived["flush_overlap_ratio"] = result.flush_overlap_ratio;

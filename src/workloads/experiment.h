@@ -13,7 +13,7 @@
 #include "cache/sync_thread.h"
 #include "fault/fault_plan.h"
 #include "obs/json.h"
-#include "prof/profiler.h"
+#include "prof/phase.h"
 #include "sim/engine.h"
 #include "workloads/workflow.h"
 

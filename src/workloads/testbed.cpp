@@ -49,19 +49,14 @@ Platform::Platform(const TestbedParams& params)
           params.pfs, params.seed),
       lfs(engine, params.compute_nodes, params.lfs, params.seed),
       locks(engine),
-      profiler(engine,
-               static_cast<int>(params.compute_nodes * params.ranks_per_node)),
-      tracer(engine),
+      tracer(engine,
+             static_cast<int>(params.compute_nodes * params.ranks_per_node)),
       faults(engine),
-      ctx(engine, pfs, lfs, locks),
+      ctx(engine, pfs, lfs, locks, metrics, tracer, faults),
       world(engine, fabric,
             mpi::Topology(params.compute_nodes, params.ranks_per_node),
             params.mpi),
       params_(params) {
-  ctx.profiler = &profiler;
-  ctx.metrics = &metrics;
-  ctx.tracer = &tracer;
-  ctx.fault = &faults;
   pfs.set_metrics(&metrics);
   faults.set_observability(&metrics, &tracer);
   pfs.set_fault_injector(&faults);

@@ -22,7 +22,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pfs/pfs.h"
-#include "prof/profiler.h"
 #include "sim/engine.h"
 
 namespace e10::workloads {
@@ -63,8 +62,8 @@ class Platform {
   pfs::Pfs pfs;
   lfs::LocalFsSet lfs;
   cache::LockTable locks;
-  prof::Profiler profiler;
-  /// Shared by every layer; tracer is disabled until set_enabled(true).
+  /// Shared by every layer. The tracer keeps every rank's phase totals and
+  /// records trace events only once set_enabled(true).
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
   /// Shared fault injector, wired into pfs, every node's lfs and the ctx;

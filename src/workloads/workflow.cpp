@@ -5,7 +5,6 @@
 
 #include "adio/adio_file.h"
 #include "mpiio/file.h"
-#include "prof/profiler.h"
 
 namespace e10::workloads {
 
@@ -37,18 +36,15 @@ WorkflowResult run_workflow(Platform& platform, const Workload& workload,
     int previous_index = -1;
 
     auto really_close = [&](mpiio::File file, int index) {
-      const Time t0 = engine.now();
-      obs::Span span(tracer, track, "close");
+      obs::Span span(platform.tracer, comm.rank(),
+                     prof::Phase::not_hidden_sync);
       span.arg("file", static_cast<std::int64_t>(index));
       const Status closed = file.close();
       if (!closed.is_ok()) {
         throw std::runtime_error("workflow close failed: " +
                                  closed.to_string());
       }
-      const Time elapsed = engine.now() - t0;
-      residuals[me][static_cast<std::size_t>(index)] = elapsed;
-      platform.profiler.record(comm.rank(), prof::Phase::not_hidden_sync,
-                               elapsed);
+      residuals[me][static_cast<std::size_t>(index)] = span.end();
     };
 
     for (int k = 0; k < nfiles; ++k) {

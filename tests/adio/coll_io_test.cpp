@@ -6,6 +6,7 @@
 
 #include "common/units.h"
 #include "mpiio/file.h"
+#include "obs/report.h"
 #include "workloads/testbed.h"
 
 namespace e10::adio {
@@ -200,9 +201,10 @@ TEST(CollWrite, DisabledCbWritesIndependently) {
   });
   p.run();
   expect_matches(p.pfs, "/pfs/indep", reference);
-  // No shuffle happened: zero collective-buffer exchange means the profiler
-  // saw no exchange time.
-  EXPECT_EQ(p.profiler.max_over_ranks(prof::Phase::exchange), 0);
+  // No shuffle happened: zero collective-buffer exchange means no rank
+  // spent time in the exchange phase.
+  EXPECT_EQ(
+      obs::max_over_ranks(p.tracer.phase_totals(), prof::Phase::exchange), 0);
 }
 
 TEST(CollWrite, AutomaticModeSkipsExchangeForNonInterleaved) {
@@ -219,8 +221,9 @@ TEST(CollWrite, AutomaticModeSkipsExchangeForNonInterleaved) {
     ASSERT_TRUE(file.value().close());
   });
   p.run();
-  EXPECT_EQ(p.profiler.max_over_ranks(prof::Phase::exchange), 0);
-  EXPECT_GT(p.profiler.max_over_ranks(prof::Phase::write_contig), 0);
+  const obs::PhaseTotals& phases = p.tracer.phase_totals();
+  EXPECT_EQ(obs::max_over_ranks(phases, prof::Phase::exchange), 0);
+  EXPECT_GT(obs::max_over_ranks(phases, prof::Phase::write_contig), 0);
 }
 
 TEST(CollWrite, EnableForcesCollectiveEvenWhenContiguous) {
@@ -235,8 +238,9 @@ TEST(CollWrite, EnableForcesCollectiveEvenWhenContiguous) {
     ASSERT_TRUE(file.value().close());
   });
   p.run();
-  EXPECT_GT(p.profiler.max_over_ranks(prof::Phase::exchange), 0);
-  EXPECT_GT(p.profiler.max_over_ranks(prof::Phase::shuffle_all2all), 0);
+  const obs::PhaseTotals& phases = p.tracer.phase_totals();
+  EXPECT_GT(obs::max_over_ranks(phases, prof::Phase::exchange), 0);
+  EXPECT_GT(obs::max_over_ranks(phases, prof::Phase::shuffle_all2all), 0);
 }
 
 TEST(OpenClose, MissingFileFailsOnAllRanks) {

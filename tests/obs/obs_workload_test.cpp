@@ -3,6 +3,9 @@
 // what the pipeline actually did.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -139,6 +142,52 @@ TEST(ObsWorkload, TraceShowsThePipelinePerRank) {
   EXPECT_TRUE(has_sync_track);
 }
 
+TEST(ObsWorkload, TraceSpansAndPhaseTableAreOneRecord) {
+  // Every phase interval is recorded once: per phase, the largest per-rank
+  // sum of the trace's spans on the "rank N" tracks is the phase table's
+  // max_s. Span durations are microseconds with three decimals, so the
+  // sums are exact nanoseconds.
+  std::vector<std::pair<ExperimentSpec, WorkloadFactory>> inputs;
+  inputs.emplace_back(small_spec(CacheCase::enabled, milliseconds(500)),
+                      tiny_ior());
+  inputs.emplace_back(quick_collperf_spec(4, 4 * MiB, CacheCase::enabled, 2),
+                      quick_collperf());
+  for (auto& [spec, factory] : inputs) {
+    spec.trace = true;
+    const ExperimentResult result = run_experiment(spec, factory);
+    const auto parsed = obs::Json::parse(result.trace_json);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+    const obs::Json& events = parsed.value().at("traceEvents");
+
+    std::set<std::int64_t> rank_tracks;
+    for (const obs::Json& e : events.elements()) {
+      if (e.at("ph").as_string() == "M" &&
+          e.at("name").as_string() == "thread_name" &&
+          e.at("args").at("name").as_string().starts_with("rank ")) {
+        rank_tracks.insert(e.at("tid").as_int());
+      }
+    }
+    std::map<std::string, std::map<std::int64_t, Time>> sums;  // name, tid
+    for (const obs::Json& e : events.elements()) {
+      if (e.at("ph").as_string() != "X" ||
+          rank_tracks.count(e.at("tid").as_int()) == 0) {
+        continue;
+      }
+      sums[e.at("name").as_string()][e.at("tid").as_int()] +=
+          std::llround(e.at("dur").as_number() * 1000.0);
+    }
+    for (std::size_t p = 0; p < prof::kPhaseCount; ++p) {
+      const char* name = prof::phase_name(static_cast<prof::Phase>(p));
+      Time traced = 0;
+      for (const auto& [tid, sum] : sums[name]) traced = std::max(traced, sum);
+      const double max_s =
+          result.report.at("phases").at(name).at("max_s").as_number();
+      EXPECT_EQ(traced, std::llround(max_s * 1e9))
+          << result.combo << " " << name;
+    }
+  }
+}
+
 TEST(ObsWorkload, CriticalPathAttributesTheRun) {
   ExperimentSpec spec = small_spec(CacheCase::enabled, milliseconds(500));
   spec.critical_path = true;
@@ -212,6 +261,8 @@ TEST(ObsWorkload, TracingDoesNotChangeTheRun) {
   EXPECT_DOUBLE_EQ(a.report.at("derived").at("io_time_s").as_number(),
                    b.report.at("derived").at("io_time_s").as_number());
   EXPECT_DOUBLE_EQ(a.bandwidth_gib, b.bandwidth_gib);
+  // The phase table is the same record whether or not spans are traced.
+  EXPECT_EQ(a.report.at("phases").dump(), b.report.at("phases").dump());
 }
 
 TEST(ObsWorkload, FaultedRunLeavesNoDanglingSpans) {

@@ -265,6 +265,103 @@ TEST(Trace, ChromeSchemaIsSane) {
   }
 }
 
+std::size_t column(prof::Phase phase) {
+  return static_cast<std::size_t>(phase);
+}
+
+TEST(Trace, PhaseSpansAccumulatePerRank) {
+  // Repeated intervals of one (rank, phase) add up; untouched cells and
+  // ranks stay zero. Tracing is off: the totals are kept regardless.
+  sim::Engine engine;
+  Tracer tracer(engine, 4);
+  engine.spawn("rank0", [&] {
+    const Span span(tracer, 0, prof::Phase::write_contig);
+    engine.delay(seconds(2));
+  });
+  engine.spawn("rank1", [&] {
+    for (const Time length : {seconds(5), seconds(1)}) {
+      const Span span(tracer, 1, prof::Phase::write_contig);
+      engine.delay(length);
+    }
+  });
+  engine.spawn("rank2", [&] {
+    const Span span(tracer, 2, prof::Phase::exchange);
+    engine.delay(seconds(3));
+  });
+  engine.run();
+  const PhaseTotals& totals = tracer.phase_totals();
+  ASSERT_EQ(totals.size(), 4u);
+  EXPECT_EQ(totals[0][column(prof::Phase::write_contig)], seconds(2));
+  EXPECT_EQ(totals[1][column(prof::Phase::write_contig)], seconds(6));
+  EXPECT_EQ(totals[2][column(prof::Phase::exchange)], seconds(3));
+  EXPECT_EQ(totals[2][column(prof::Phase::write_contig)], 0);
+  EXPECT_EQ(totals[3], PhaseTotals::value_type{});
+  EXPECT_EQ(tracer.events(), 0u);
+}
+
+TEST(Trace, PhaseSpanMeasuresVirtualTimeTracedOrNot) {
+  // The same interval lands in the totals with tracing off and on; traced,
+  // it is also one event named after the phase on the rank's track.
+  for (const bool traced : {false, true}) {
+    sim::Engine engine;
+    Tracer tracer(engine, 1);
+    tracer.set_enabled(traced);
+    Time length = 0;
+    engine.spawn("p", [&] {
+      Span span(tracer, 0, prof::Phase::shuffle_all2all);
+      EXPECT_TRUE(span.active());
+      engine.delay(milliseconds(250));
+      length = span.end();
+      EXPECT_FALSE(span.active());
+      engine.delay(milliseconds(10));  // not part of the span
+    });
+    engine.run();
+    EXPECT_EQ(length, milliseconds(250));
+    EXPECT_EQ(tracer.phase_totals()[0][column(prof::Phase::shuffle_all2all)],
+              milliseconds(250));
+    EXPECT_EQ(tracer.open_spans(), 0u);
+    if (!traced) {
+      EXPECT_EQ(tracer.events(), 0u);
+      continue;
+    }
+    ASSERT_EQ(tracer.events(), 1u);
+    const Tracer::Event& event = tracer.event_list().front();
+    EXPECT_EQ(event.name, "shuffle_all2all");
+    EXPECT_EQ(event.dur, milliseconds(250));
+    EXPECT_EQ(event.track, tracer.rank_track(0));
+  }
+}
+
+TEST(Trace, NestedPhaseSpansBothRecord) {
+  sim::Engine engine;
+  Tracer tracer(engine, 1);
+  engine.spawn("p", [&] {
+    const Span outer(tracer, 0, prof::Phase::exchange);
+    engine.delay(milliseconds(10));
+    {
+      const Span inner(tracer, 0, prof::Phase::write_contig);
+      engine.delay(milliseconds(5));
+    }
+    engine.delay(milliseconds(10));
+  });
+  engine.run();
+  const PhaseTotals& totals = tracer.phase_totals();
+  EXPECT_EQ(totals[0][column(prof::Phase::write_contig)], milliseconds(5));
+  EXPECT_EQ(totals[0][column(prof::Phase::exchange)], milliseconds(25));
+}
+
+TEST(Trace, PhaseSpanRankOutsideTheTotalsThrows) {
+  sim::Engine engine;
+  EXPECT_THROW(Tracer(engine, -1), std::logic_error);
+  Tracer tracer(engine, 2);
+  EXPECT_THROW(Span(tracer, 2, prof::Phase::close), std::logic_error);
+  EXPECT_THROW(Span(tracer, -1, prof::Phase::close), std::logic_error);
+  // A tracer built without ranks takes named spans only.
+  Tracer named_only(engine);
+  EXPECT_THROW(Span(named_only, 0, prof::Phase::close), std::logic_error);
+  EXPECT_EQ(tracer.open_spans(), 0u);
+}
+
 TEST(Trace, ClearResetsEvents) {
   sim::Engine engine;
   Tracer tracer(engine);

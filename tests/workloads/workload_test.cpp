@@ -5,6 +5,7 @@
 #include "adio/adio_file.h"
 #include "common/units.h"
 #include "mpiio/file.h"
+#include "obs/report.h"
 #include "workloads/testbed.h"
 
 namespace e10::workloads {
@@ -82,8 +83,9 @@ TEST(CollPerf, ProducesInterleavedStridedPattern) {
   const CollPerfWorkload workload(tiny_collperf());
   (void)run_one_file(p, workload, "/pfs/cp2");
   // The shuffle exchange must have happened (interleaved -> collective).
-  EXPECT_GT(p.profiler.max_over_ranks(prof::Phase::exchange), 0);
-  EXPECT_GT(p.profiler.max_over_ranks(prof::Phase::shuffle_all2all), 0);
+  const obs::PhaseTotals& phases = p.tracer.phase_totals();
+  EXPECT_GT(obs::max_over_ranks(phases, prof::Phase::exchange), 0);
+  EXPECT_GT(obs::max_over_ranks(phases, prof::Phase::shuffle_all2all), 0);
 }
 
 TEST(CollPerf, EveryByteAccountedFor) {
