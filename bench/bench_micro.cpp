@@ -1,10 +1,13 @@
-// Substrate micro-benchmarks (google-benchmark): DES engine switch rate,
-// PFS client write throughput, local-SSD cache write path, MPI
-// collective/point-to-point overheads, and the host cost of one collective
-// open and one two-level write call as the rank count grows. These
-// establish the simulator's own performance envelope — how much real time
-// a simulated experiment costs.
+// Substrate micro-benchmarks (google-benchmark): DES engine switch and
+// spawn rates, PFS client write throughput, MPI alltoall/point-to-point
+// overheads, ByteStore appends, and the host cost of one generic allgather
+// and allreduce, one collective open and one two-level write call as the
+// rank count grows. These establish the simulator's own performance
+// envelope — how much real time a simulated experiment costs.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <utility>
 
 #include "common/units.h"
 #include "mpi/world.h"
@@ -123,6 +126,51 @@ workloads::TestbedParams testbed_of(std::int64_t ranks) {
 // is. An item is one call on every rank.
 constexpr int kCalls = 4;
 
+/// `ranks` ranks, 8 per node, each running `body` on the world
+/// communicator; building the world is not timed (the kCalls convention).
+template <typename Body>
+void run_world(benchmark::State& state, Body body) {
+  const auto ranks = static_cast<std::size_t>(state.range(0));
+  state.PauseTiming();
+  sim::Engine engine;
+  net::Fabric fabric(ranks / 8, net::FabricParams{});
+  mpi::World world(engine, fabric, mpi::Topology(ranks / 8, 8));
+  world.launch(body);
+  state.ResumeTiming();
+  engine.run();
+}
+
+void BM_Allgather(benchmark::State& state) {
+  // kCalls allgathers of one (start, end) pair per rank, the shape of the
+  // offset exchange that opens every collective read and write.
+  for (auto _ : state) {
+    run_world(state, [](mpi::Comm comm) {
+      for (int i = 0; i < kCalls; ++i) {
+        benchmark::DoNotOptimize(comm.allgather(
+            std::make_pair(Offset{comm.rank()}, Offset{i}),
+            Offset{2} * sizeof(Offset)));
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kCalls);
+}
+BENCHMARK(BM_Allgather)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_Allreduce(benchmark::State& state) {
+  // kCalls max-allreduces of one int per rank, the error-code agreement
+  // that closes every collective call.
+  for (auto _ : state) {
+    run_world(state, [](mpi::Comm comm) {
+      for (int i = 0; i < kCalls; ++i) {
+        benchmark::DoNotOptimize(comm.allreduce(
+            comm.rank() + i, [](int a, int b) { return std::max(a, b); }));
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kCalls);
+}
+BENCHMARK(BM_Allreduce)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
+
 void BM_CollectiveOpen(benchmark::State& state) {
   // Open and close one file, cache off: aggregator selection and the
   // two-level decision read the communicator's node table.
@@ -145,8 +193,8 @@ BENCHMARK(BM_CollectiveOpen)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMil
 
 void BM_TwoLevelWriteCall(benchmark::State& state) {
   // kCalls two-level write_at_all calls of 4 KiB per rank between one open
-  // and close: each call finds every rank's node leader to build the node
-  // hulls.
+  // and close: each call's offset exchange folds every rank's region into
+  // its node's hull once, and every rank reads the shared result.
   mpi::Info info;
   info.set("romio_cb_write", "enable");
   info.set("e10_two_level_flag", "enable");

@@ -62,8 +62,11 @@ struct AdioFile {
   std::unique_ptr<cache::CacheFile> cache;
 
   // Aggregators for this file, fixed at open (ROMIO computes them from
-  // cb_nodes / cb_config_list at open time).
+  // cb_nodes / cb_config_list at open time), the node hosting each, and
+  // this rank's index among them (-1 when it is not one).
   std::vector<int> aggregators;
+  std::vector<std::size_t> aggregator_nodes;
+  int aggregator_index = -1;
 
   // Two-level collective-write exchange (docs/two_level.md), resolved once
   // at open from e10_two_level_flag and the communicator topology: active
@@ -72,9 +75,7 @@ struct AdioFile {
 
   Offset stripe_unit = 0;  // resolved at open from the PFS file
 
-  bool is_aggregator() const;
-  /// Index within aggregators[] or -1.
-  int aggregator_index() const;
+  bool is_aggregator() const { return aggregator_index >= 0; }
 
   int rank() const { return comm.rank(); }
 };

@@ -3,22 +3,13 @@
 
 #include "adio/adio_file.h"
 #include "adio/aggregation.h"
+#include "adio/coll_common.h"
 #include "common/log.h"
 #include "fault/fault_injector.h"
 
 namespace e10::adio {
 
 namespace {
-
-/// Collective error agreement: everyone learns the worst error code.
-Status agree(const mpi::Comm& comm, const Status& mine) {
-  const int code = static_cast<int>(mine.code());
-  const int worst =
-      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
-  if (worst == 0) return Status::ok();
-  if (static_cast<int>(mine.code()) == worst) return mine;
-  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
-}
 
 std::string cache_file_name(const Hints& hints, const std::string& path,
                             int rank) {
@@ -28,15 +19,6 @@ std::string cache_file_name(const Hints& hints, const std::string& path,
 }
 
 }  // namespace
-
-bool AdioFile::is_aggregator() const { return aggregator_index() >= 0; }
-
-int AdioFile::aggregator_index() const {
-  const auto it =
-      std::find(aggregators.begin(), aggregators.end(), comm.rank());
-  if (it == aggregators.end()) return -1;
-  return static_cast<int>(it - aggregators.begin());
-}
 
 std::pair<Driver, std::string> parse_driver_path(const std::string& path) {
   if (path.starts_with("ufs:")) return {Driver::ufs, path.substr(4)};
@@ -118,7 +100,7 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
     }
   }
 
-  const Status agreed = agree(comm, my_status);
+  const Status agreed = agree_status(comm, my_status);
   if (!agreed.is_ok()) {
     if (fd->handle != 0) (void)ctx.pfs.close(fd->handle);
     return agreed;
@@ -129,6 +111,13 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
 
   fd->aggregators = select_aggregators(comm, fd->hints.cb_nodes,
                                        fd->hints.cb_config_per_node);
+  fd->aggregator_nodes.reserve(fd->aggregators.size());
+  for (std::size_t i = 0; i < fd->aggregators.size(); ++i) {
+    fd->aggregator_nodes.push_back(comm.node_of(fd->aggregators[i]));
+    if (fd->aggregators[i] == comm.rank()) {
+      fd->aggregator_index = static_cast<int>(i);
+    }
+  }
 
   // Two-level exchange resolution (docs/two_level.md): the hint decides,
   // with "automatic" keyed to the topology; the intra-node gather stage only
@@ -213,7 +202,7 @@ Status close(AdioFile& fd) {
   if (my_status.is_ok()) my_status = pfs_closed;
   fd.handle = 0;
 
-  Status agreed = agree(fd.comm, my_status);
+  Status agreed = agree_status(fd.comm, my_status);
 
   if ((fd.mode & amode::delete_on_close) != 0) {
     fd.comm.barrier();
@@ -234,7 +223,7 @@ Status flush(AdioFile& fd) {
   } else {
     my_status = fd.ctx->pfs.sync(fd.handle);
   }
-  const Status agreed = agree(fd.comm, my_status);
+  const Status agreed = agree_status(fd.comm, my_status);
   fd.comm.barrier();
   return agreed;
 }

@@ -41,27 +41,12 @@ Result<std::vector<DataView>> read_strided_coll(
     my_start = sorted.front().offset;
     my_end = sorted.back().end();
   }
-  std::vector<std::pair<Offset, Offset>> all_offsets;
-  {
-    obs::Span phase(ctx.tracer, me, prof::Phase::offset_exchange);
-    all_offsets = comm.allgather(std::make_pair(my_start, my_end),
-                                 Offset{2} * sizeof(Offset));
-  }
-
-  bool interleaved = false;
-  Offset prev_end = -1;
-  Offset gmin = kNoOffset, gmax = -1;
-  for (const auto& [start, end] : all_offsets) {
-    if (start == kNoOffset) continue;
-    if (prev_end >= 0 && start < prev_end) interleaved = true;
-    prev_end = std::max(prev_end, end);
-    gmin = std::min(gmin, start);
-    gmax = std::max(gmax, end);
-  }
+  const std::shared_ptr<const GlobalAccess> access =
+      exchange_offsets(ctx, comm, my_start, my_end);
 
   if (fd.hints.romio_cb_read == Toggle::disable ||
-      (fd.hints.romio_cb_read == Toggle::automatic && !interleaved) ||
-      gmin == kNoOffset) {
+      (fd.hints.romio_cb_read == Toggle::automatic && !access->interleaved) ||
+      access->start == kNoOffset) {
     auto result = read_strided(fd, wanted);
     const Status agreed = agree_status(comm, result.status());
     if (!agreed.is_ok()) return agreed;
@@ -76,8 +61,8 @@ Result<std::vector<DataView>> read_strided_coll(
   // already fan out aggregator → rank (one message per reader), so an
   // intra-node gather stage has no p-to-A flow to collapse. The flat
   // constructor keeps the read plan independent of the hint.
-  RoundPlanner planner(Extent{gmin, gmax - gmin}, fd.aggregators.size(),
-                       fd.hints.cb_buffer_size, align);
+  RoundPlanner planner(Extent{access->start, access->end - access->start},
+                       fd.aggregators.size(), fd.hints.cb_buffer_size, align);
   const Offset ntimes = planner.rounds();
 
   // Which (aggregator, round) serves each part of my request list. Sorted
@@ -188,9 +173,8 @@ Result<std::vector<DataView>> read_strided_coll(
       mpi::Request::wait_all(send_requests);
     }
 
-    for (const mpi::Request& request : recv_requests) {
-      const auto pieces = std::any_cast<std::vector<mpi::IoPiece>>(
-          request.packet().payload);
+    for (mpi::Request& request : recv_requests) {
+      const auto pieces = request.take<std::vector<mpi::IoPiece>>();
       for (const mpi::IoPiece& piece : pieces) {
         assembled.write(piece.file.offset, piece.data);
       }

@@ -94,39 +94,18 @@ Status write_strided_coll(AdioFile& fd,
     my_start = mine.front().file.offset;
     my_end = mine.back().file.end();
   }
-  std::vector<std::pair<Offset, Offset>> all_offsets;
-  {
-    obs::Span phase(ctx.tracer, me, prof::Phase::offset_exchange);
-    all_offsets = comm.allgather(std::make_pair(my_start, my_end),
-                                 Offset{2} * sizeof(Offset));
-  }
-
-  // Interleave check (ROMIO: collective buffering pays off only when rank
-  // regions interleave; otherwise independent writes are better).
-  bool interleaved = false;
-  Offset prev_end = -1;
-  for (const auto& [start, end] : all_offsets) {
-    if (start == kNoOffset) continue;
-    if (prev_end >= 0 && start < prev_end) interleaved = true;
-    prev_end = std::max(prev_end, end);
-  }
+  const std::shared_ptr<const GlobalAccess> access =
+      exchange_offsets(ctx, comm, my_start, my_end);
 
   if (fd.hints.romio_cb_write == Toggle::disable ||
-      (fd.hints.romio_cb_write == Toggle::automatic && !interleaved)) {
+      (fd.hints.romio_cb_write == Toggle::automatic && !access->interleaved)) {
     const Status independent = write_strided(fd, mine);
     obs::Span phase(ctx.tracer, me, prof::Phase::post_write);
     return agree_status(comm, independent);
   }
 
   // --- Step 2: global region, file domains, round plan ---------------------
-  Offset gmin = kNoOffset;
-  Offset gmax = -1;
-  for (const auto& [start, end] : all_offsets) {
-    if (start == kNoOffset) continue;
-    gmin = std::min(gmin, start);
-    gmax = std::max(gmax, end);
-  }
-  if (gmin == kNoOffset) {
+  if (access->start == kNoOffset) {
     // Nobody has data; stay collective and agree on success.
     obs::Span phase(ctx.tracer, me, prof::Phase::post_write);
     return agree_status(comm, Status::ok());
@@ -144,11 +123,9 @@ Status write_strided_coll(AdioFile& fd,
     if (fd.driver == Driver::beegfs && fd.stripe_unit > 0) {
       align = fd.stripe_unit;
     }
-    std::vector<std::size_t> aggregator_nodes;
-    aggregator_nodes.reserve(fd.aggregators.size());
-    for (int agg : fd.aggregators) aggregator_nodes.push_back(comm.node_of(agg));
-    RoundPlanner planner(Extent{gmin, gmax - gmin}, aggregator_nodes,
-                         fd.hints.cb_buffer_size, align, fd.two_level);
+    RoundPlanner planner(Extent{access->start, access->end - access->start},
+                         fd.aggregator_nodes, fd.hints.cb_buffer_size, align,
+                         fd.two_level);
     ntimes = planner.rounds();
     domains = planner.domains();
 
@@ -188,37 +165,15 @@ Status write_strided_coll(AdioFile& fd,
 
   // Two-level topology, fixed for the operation (pure computation — no
   // virtual time passes here), read from the communicator's node table.
+  // Every rank shares the node hulls step 1 folded, so senders and
+  // receivers derive the per-round message pattern without any further
+  // dissemination: leader l sends aggregator a a (possibly empty) bucket in
+  // round r exactly when l's hull intersects a's round-r window.
   const int my_leader = fd.two_level ? comm.node_leader(me) : me;
   const std::vector<int>& leader_ranks = comm.node_leaders();  // ascending
   const std::size_t my_leader_index = comm.leader_index(me);
   const std::vector<int>& my_members = comm.node_ranks(comm.node());
-  std::size_t my_agg_index = 0;      // aggregator only: index in fd.aggregators
-  // Per leader index: the [min start, max end) hull of that node's rank
-  // extents, (kNoOffset, kNoOffset) when the node has no data. Every rank
-  // computes the same hulls from the step-1 allgather, so senders and
-  // receivers can derive the per-round message pattern without any further
-  // dissemination: leader l sends aggregator a a (possibly empty) bucket in
-  // round r exactly when l's hull intersects a's round-r window.
-  std::vector<std::pair<Offset, Offset>> node_hull;
-  if (fd.two_level) {
-    node_hull.assign(leader_ranks.size(), {kNoOffset, kNoOffset});
-    for (int r = 0; r < p; ++r) {
-      auto& hull = node_hull[comm.leader_index(r)];
-      const auto& [start, end] = all_offsets[static_cast<std::size_t>(r)];
-      if (start == kNoOffset) continue;
-      if (hull.first == kNoOffset) {
-        hull = {start, end};
-      } else {
-        hull.first = std::min(hull.first, start);
-        hull.second = std::max(hull.second, end);
-      }
-    }
-    if (fd.is_aggregator()) {
-      my_agg_index = static_cast<std::size_t>(
-          std::find(fd.aggregators.begin(), fd.aggregators.end(), me) -
-          fd.aggregators.begin());
-    }
-  }
+  const std::vector<std::pair<Offset, Offset>>& node_hull = access->node_hulls;
   // Round-r window of aggregator a's file domain (empty when the domain is
   // exhausted), and whether leader l's hull touches it. A leader owes each
   // overlapping window exactly one manifest message — the first (possibly
@@ -243,14 +198,20 @@ Status write_strided_coll(AdioFile& fd,
 
   WritePipeline pipeline(fd, fd.hints.e10_pipeline);
   // Round-persistent exchange buffers: the counts vectors, the request
-  // list, and the aggregator's receive staging survive across rounds so
+  // lists, and the aggregator's receive staging survive across rounds so
   // the steady state allocates nothing. send_counts carries only this
   // round's nonzero (aggregator, bytes) pairs, and only aggregators ask
-  // the alltoall to materialize recv_counts.
+  // the alltoall to materialize recv_counts. The second group serves the
+  // two-level stages.
   std::vector<std::pair<int, Offset>> send_counts;
   std::vector<Offset> recv_counts;
   std::vector<mpi::Request> requests;
   std::vector<mpi::IoPiece> received;
+  std::vector<mpi::Request> gathers;
+  std::vector<mpi::Request> sends;
+  std::vector<mpi::Request> manifests;
+  std::vector<int> manifest_src;  // leader world rank per manifest
+  std::vector<mpi::Request> extras;
   for (Offset round = 0; round < ntimes; ++round) {
     auto& round_plan = plan[static_cast<std::size_t>(round)];
 
@@ -319,8 +280,7 @@ Status write_strided_coll(AdioFile& fd,
       if (fd.is_aggregator() && nrecv > 0) {
         received.clear();
         for (std::size_t i = 0; i < nrecv; ++i) {
-          auto pieces = std::any_cast<std::vector<mpi::IoPiece>>(
-              requests[i].packet().payload);
+          auto pieces = requests[i].take<std::vector<mpi::IoPiece>>();
           received.insert(received.end(),
                           std::make_move_iterator(pieces.begin()),
                           std::make_move_iterator(pieces.end()));
@@ -353,7 +313,7 @@ Status write_strided_coll(AdioFile& fd,
       tl_intra_bytes->add(round_send_bytes);
     } else {
       merged = std::move(round_plan);
-      std::vector<mpi::Request> gathers;
+      gathers.clear();
       {
         obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_intra);
         phase.arg("members",
@@ -366,9 +326,7 @@ Status write_strided_coll(AdioFile& fd,
       // Merge member buckets in ascending rank order; the leader (lowest
       // rank on the node) contributed first via the move above.
       for (mpi::Request& req : gathers) {
-        auto bucket =
-            std::any_cast<RoundPlan<mpi::IoPiece>>(req.packet().payload);
-        plan_merge(merged, std::move(bucket));
+        plan_merge(merged, req.take<RoundPlan<mpi::IoPiece>>());
       }
     }
 
@@ -387,15 +345,16 @@ Status write_strided_coll(AdioFile& fd,
     // receives are posted before any send; a leader-aggregator's
     // self-destined bucket short-circuits locally with no message.
     using Manifest = std::pair<std::size_t, std::vector<mpi::IoPiece>>;
-    std::vector<mpi::Request> sends;
-    std::vector<mpi::Request> manifests;
-    std::vector<int> manifest_src;  // leader world rank per manifest
+    sends.clear();
+    manifests.clear();
+    manifest_src.clear();
     std::vector<mpi::IoPiece> local;
     received.clear();
     {
       obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_inter);
       if (fd.is_aggregator()) {
-        const Extent my_window = window(my_agg_index, round);
+        const Extent my_window = window(
+            static_cast<std::size_t>(fd.aggregator_index), round);
         for (std::size_t l = 0; l < leader_ranks.size(); ++l) {
           if (leader_ranks[l] == me) continue;
           if (!overlaps(node_hull[l], my_window)) continue;
@@ -458,20 +417,17 @@ Status write_strided_coll(AdioFile& fd,
       received = std::move(local);
       for (std::size_t i = 0; i < manifests.size(); ++i) {
         manifests[i].wait();
-        auto [extra, pieces] =
-            std::any_cast<Manifest>(manifests[i].packet().payload);
+        auto [extra, pieces] = manifests[i].take<Manifest>();
         received.insert(received.end(),
                         std::make_move_iterator(pieces.begin()),
                         std::make_move_iterator(pieces.end()));
-        std::vector<mpi::Request> extras;
-        extras.reserve(extra);
+        extras.clear();
         for (std::size_t e = 0; e < extra; ++e) {
           extras.push_back(comm.irecv(manifest_src[i], tag_data));
         }
         mpi::Request::wait_all(extras);
         for (mpi::Request& req : extras) {
-          auto more =
-              std::any_cast<std::vector<mpi::IoPiece>>(req.packet().payload);
+          auto more = req.take<std::vector<mpi::IoPiece>>();
           received.insert(received.end(),
                           std::make_move_iterator(more.begin()),
                           std::make_move_iterator(more.end()));

@@ -13,6 +13,49 @@ std::byte DataView::Segment::at(Offset i) const {
   return DataView::pattern_byte(seed, origin + i);
 }
 
+bool DataView::Segment::continued_by(const Segment& next) const {
+  if (buffer == nullptr) {
+    return next.buffer == nullptr && seed == next.seed &&
+           origin + length == next.origin;
+  }
+  return buffer == next.buffer && offset + length == next.offset;
+}
+
+std::span<const DataView::Segment> DataView::segments(
+    Segment& scratch) const {
+  if (!inline_run()) return segments_;
+  scratch.seed = seed_;
+  scratch.origin = origin_;
+  scratch.length = length_;
+  return {&scratch, 1};
+}
+
+void DataView::append(const Segment& seg) {
+  if (length_ == 0 && seg.buffer == nullptr) {
+    seed_ = seg.seed;
+    origin_ = seg.origin;
+    length_ = seg.length;
+    return;
+  }
+  if (inline_run()) {
+    Segment run;
+    run.seed = seed_;
+    run.origin = origin_;
+    run.length = length_;
+    if (run.continued_by(seg)) {
+      length_ += seg.length;
+      return;
+    }
+    segments_.push_back(run);
+  } else if (!segments_.empty() && segments_.back().continued_by(seg)) {
+    segments_.back().length += seg.length;
+    length_ += seg.length;
+    return;
+  }
+  segments_.push_back(seg);
+  length_ += seg.length;
+}
+
 DataView DataView::real(std::vector<std::byte> bytes) {
   auto shared =
       std::make_shared<const std::vector<std::byte>>(std::move(bytes));
@@ -33,9 +76,8 @@ DataView DataView::real_slice(
     seg.buffer = std::move(buffer);
     seg.offset = offset;
     seg.length = length;
-    v.segments_.push_back(std::move(seg));
+    v.append(seg);
   }
-  v.length_ = length;
   return v;
 }
 
@@ -45,39 +87,19 @@ DataView DataView::synthetic(std::uint64_t seed, Offset origin,
     throw std::out_of_range("DataView::synthetic negative length");
   }
   DataView v;
-  if (length > 0) {
-    Segment seg;
-    seg.seed = seed;
-    seg.origin = origin;
-    seg.length = length;
-    v.segments_.push_back(std::move(seg));
-  }
+  v.seed_ = seed;
+  v.origin_ = origin;
   v.length_ = length;
   return v;
 }
 
 DataView DataView::concat(const std::vector<DataView>& views) {
+  // Adjacent continuations merge (common when a strided pattern is
+  // reassembled in file order).
   DataView out;
   for (const DataView& v : views) {
-    for (const Segment& seg : v.segments_) {
-      // Merge adjacent synthetic continuations (common when a strided
-      // pattern is reassembled in file order).
-      if (!out.segments_.empty()) {
-        Segment& last = out.segments_.back();
-        if (last.buffer == nullptr && seg.buffer == nullptr &&
-            last.seed == seg.seed && last.origin + last.length == seg.origin) {
-          last.length += seg.length;
-          continue;
-        }
-        if (last.buffer != nullptr && last.buffer == seg.buffer &&
-            last.offset + last.length == seg.offset) {
-          last.length += seg.length;
-          continue;
-        }
-      }
-      out.segments_.push_back(seg);
-    }
-    out.length_ += v.length_;
+    Segment scratch;
+    for (const Segment& seg : v.segments(scratch)) out.append(seg);
   }
   return out;
 }
@@ -96,13 +118,15 @@ std::byte DataView::pattern_byte(std::uint64_t seed, Offset position) {
 }
 
 bool DataView::is_real() const {
-  return std::all_of(segments_.begin(), segments_.end(),
+  return !inline_run() &&
+         std::all_of(segments_.begin(), segments_.end(),
                      [](const Segment& s) { return s.buffer != nullptr; });
 }
 
 std::byte DataView::byte_at(Offset i) const {
   if (i < 0 || i >= length_) throw std::out_of_range("DataView::byte_at");
-  for (const Segment& seg : segments_) {
+  Segment scratch;
+  for (const Segment& seg : segments(scratch)) {
     if (i < seg.length) return seg.at(i);
     i -= seg.length;
   }
@@ -113,8 +137,8 @@ DataView DataView::slice(Offset offset, Offset length) const {
   if (offset < 0 || length < 0 || offset + length > length_) {
     throw std::out_of_range("DataView::slice out of range");
   }
+  if (inline_run()) return synthetic(seed_, origin_ + offset, length);
   DataView out;
-  out.length_ = length;
   Offset skip = offset;
   Offset remaining = length;
   for (const Segment& seg : segments_) {
@@ -123,16 +147,15 @@ DataView DataView::slice(Offset offset, Offset length) const {
       skip -= seg.length;
       continue;
     }
-    const Offset take = std::min(remaining, seg.length - skip);
     Segment piece = seg;
     if (piece.buffer != nullptr) {
       piece.offset += skip;
     } else {
       piece.origin += skip;
     }
-    piece.length = take;
-    out.segments_.push_back(std::move(piece));
-    remaining -= take;
+    piece.length = std::min(remaining, seg.length - skip);
+    out.append(piece);
+    remaining -= piece.length;
     skip = 0;
   }
   return out;
@@ -141,7 +164,8 @@ DataView DataView::slice(Offset offset, Offset length) const {
 std::vector<std::byte> DataView::materialize() const {
   std::vector<std::byte> out(static_cast<std::size_t>(length_));
   Offset pos = 0;
-  for (const Segment& seg : segments_) {
+  Segment scratch;
+  for (const Segment& seg : segments(scratch)) {
     if (seg.buffer != nullptr) {
       std::memcpy(out.data() + pos, seg.buffer->data() + seg.offset,
                   static_cast<std::size_t>(seg.length));
@@ -162,17 +186,17 @@ const std::byte* DataView::data() const {
 }
 
 std::uint64_t DataView::seed() const {
-  if (segments_.size() != 1 || segments_[0].buffer != nullptr) {
+  if (!inline_run()) {
     throw std::logic_error("DataView::seed: not a single synthetic segment");
   }
-  return segments_[0].seed;
+  return seed_;
 }
 
 Offset DataView::origin() const {
-  if (segments_.size() != 1 || segments_[0].buffer != nullptr) {
+  if (!inline_run()) {
     throw std::logic_error("DataView::origin: not a single synthetic segment");
   }
-  return segments_[0].origin;
+  return origin_;
 }
 
 void ByteStore::write(Offset offset, const DataView& view) {

@@ -8,12 +8,15 @@
 // identified by (seed, origin); used by the benchmarks, which run at the
 // paper's 32 GiB scale without allocating payload memory). The rope makes
 // concatenation O(segments) — aggregators coalesce many shuffle pieces into
-// one contiguous collective-buffer write without copying.
+// one contiguous collective-buffer write without copying. A view that is a
+// single synthetic run, the benchmarks' common case, holds it inline and
+// never touches the heap.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -45,8 +48,11 @@ class DataView {
   /// True if every byte is backed by real storage.
   bool is_real() const;
 
-  /// Number of rope segments (diagnostics/tests).
-  std::size_t segment_count() const { return segments_.size(); }
+  /// Number of rope segments (diagnostics/tests); an inline run counts as
+  /// one.
+  std::size_t segment_count() const {
+    return inline_run() ? 1 : segments_.size();
+  }
 
   /// Value of byte `i` (0 <= i < size()), regardless of representation.
   std::byte byte_at(Offset i) const;
@@ -79,9 +85,26 @@ class DataView {
     Offset length = 0;
 
     std::byte at(Offset i) const;
+    /// True when `next` continues this segment's bytes, so the two can be
+    /// one segment.
+    bool continued_by(const Segment& next) const;
   };
 
+  /// True when the view is one synthetic run held inline.
+  bool inline_run() const { return segments_.empty() && length_ > 0; }
+  /// The rope's segments; an inline run is presented as one segment built
+  /// in `scratch`.
+  std::span<const Segment> segments(Segment& scratch) const;
+  /// Appends a non-empty segment, merging it into the last one when it
+  /// continues it; a lone synthetic run stays inline.
+  void append(const Segment& seg);
+
+  // Either one synthetic run inline (segments_ empty; seed_, origin_ and
+  // length_ describe it) or a rope of real and/or several runs in
+  // segments_ (seed_ and origin_ unused). An empty view has neither.
   std::vector<Segment> segments_;
+  std::uint64_t seed_ = 0;
+  Offset origin_ = 0;
   Offset length_ = 0;
 };
 

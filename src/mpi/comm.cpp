@@ -77,8 +77,9 @@ void Comm::barrier() const {
   (void)run_collective(Kind::barrier, std::any(), 0);
 }
 
-std::shared_ptr<const std::vector<std::any>> Comm::run_collective(
-    Kind kind, std::any contribution, Offset bytes) const {
+std::shared_ptr<Comm::Sealed> Comm::run_collective(Kind kind,
+                                                   std::any contribution,
+                                                   Offset bytes) const {
   return state_->collective(rank_, kind, std::move(contribution), bytes);
 }
 
@@ -324,8 +325,8 @@ void CommState::complete_arrival(CollOp& op, Offset bytes) {
     const Time release =
         op.max_arrival + collective_cost(op.kind, op.max_bytes);
     if (!op.typed) {
-      op.result = std::make_shared<std::vector<std::any>>(
-          std::move(op.contributions));
+      op.result = std::make_shared<Comm::Sealed>(
+          Comm::Sealed{std::move(op.contributions), {}});
     }
     // Every released participant was gated on the last arriver — the
     // collective straggler edge the critical-path walk follows.
@@ -393,8 +394,9 @@ void CommState::extract_counts(const CollOp& op, int rank,
   }
 }
 
-std::shared_ptr<const std::vector<std::any>> CommState::collective(
-    int rank, Comm::Kind kind, std::any contribution, Offset bytes) {
+std::shared_ptr<Comm::Sealed> CommState::collective(int rank, Comm::Kind kind,
+                                                    std::any contribution,
+                                                    Offset bytes) {
   CollOp& op = collective_slot(rank, kind);
   if (op.typed) {
     throw std::logic_error("collective mismatch on comm '" + name_ +
@@ -406,7 +408,7 @@ std::shared_ptr<const std::vector<std::any>> CommState::collective(
   op.contributions[static_cast<std::size_t>(rank)] = std::move(contribution);
   complete_arrival(op, bytes);
   await_release(op);
-  std::shared_ptr<const std::vector<std::any>> result = op.result;
+  std::shared_ptr<Comm::Sealed> result = op.result;
   depart(op);
   return result;
 }
@@ -452,7 +454,7 @@ std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
   // The collective sequence number identifies this split so that all ranks
   // agree on which child registry entry to use.
   const std::uint64_t gen = coll_seq_[static_cast<std::size_t>(caller_rank)];
-  const auto contribs = collective(
+  const auto sealed = collective(
       caller_rank, Comm::Kind::allgather,
       std::any(std::tuple<int, int>(color, key)), sizeof(int) * 2);
 
@@ -464,8 +466,8 @@ std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
   // Deterministic membership: ranks with my color, ordered by (key, rank).
   std::vector<std::pair<int, int>> members;  // (key, old rank)
   for (int r = 0; r < size(); ++r) {
-    const auto [c, k] =
-        std::any_cast<const std::tuple<int, int>&>((*contribs)[static_cast<std::size_t>(r)]);
+    const auto [c, k] = std::any_cast<const std::tuple<int, int>&>(
+        sealed->contributions[static_cast<std::size_t>(r)]);
     if (c == color) members.emplace_back(k, r);
   }
   std::sort(members.begin(), members.end());

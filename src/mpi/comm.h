@@ -15,7 +15,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -81,7 +84,8 @@ class Comm {
   // ---- Point-to-point ----------------------------------------------------
 
   /// Nonblocking send of a type-erased payload charged as `bytes` on the
-  /// wire. The payload is copied by value into the matching receive.
+  /// wire. The payload is moved, not copied, through to the matching
+  /// receive, whose Request::take<T>() moves it out again.
   Request isend(int dst, int tag, std::any payload, Offset bytes) const;
 
   /// Nonblocking receive from `src` (or kAnySource) with `tag` (or kAnyTag).
@@ -94,23 +98,40 @@ class Comm {
 
   void barrier() const;
 
+  /// Reduces every rank's `value` with `op` in rank order. The reduction
+  /// runs once per operation, on the first rank to leave the collective;
+  /// the others reuse its result.
   template <typename T, typename BinaryOp>
   T allreduce(const T& value, BinaryOp op, Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::allreduce, std::any(value), bytes);
-    T acc = std::any_cast<const T&>((*contribs)[0]);
-    for (std::size_t i = 1; i < contribs->size(); ++i) {
-      acc = op(acc, std::any_cast<const T&>((*contribs)[i]));
-    }
-    return acc;
+    const auto sealed = run_collective(Kind::allreduce, std::any(value), bytes);
+    return memo<T>(*sealed, [&op](const std::vector<std::any>& contribs) {
+      return reduce_in_rank_order<T>(contribs, op);
+    });
   }
 
+  /// Every rank's `value` in rank order; the vector is built once per
+  /// operation and copied out to each rank.
   template <typename T>
   std::vector<T> allgather(const T& value, Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::allgather, std::any(value), bytes);
-    std::vector<T> out;
-    out.reserve(contribs->size());
-    for (const std::any& a : *contribs) out.push_back(std::any_cast<const T&>(a));
-    return out;
+    const auto sealed = run_collective(Kind::allgather, std::any(value), bytes);
+    return memo<std::vector<T>>(*sealed, &unbox<T>);
+  }
+
+  /// An allgather whose rank-ordered vector is folded by `fold` once per
+  /// operation, on the first rank to leave the collective; every rank gets
+  /// that same result. Virtual cost and synchronisation are allgather's.
+  /// Every rank of one operation must fold to the same result type;
+  /// otherwise the later reader throws std::logic_error.
+  template <typename T, typename Fold>
+  auto allgather_fold(const T& value, Fold fold,
+                      Offset bytes = sizeof(T)) const
+      -> std::shared_ptr<const std::invoke_result_t<Fold&, std::vector<T>>> {
+    using R = std::invoke_result_t<Fold&, std::vector<T>>;
+    const auto sealed = run_collective(Kind::allgather, std::any(value), bytes);
+    return memo<std::shared_ptr<const R>>(
+        *sealed, [&fold](const std::vector<std::any>& contribs) {
+          return std::make_shared<const R>(fold(unbox<T>(contribs)));
+        });
   }
 
   /// `send[i]` goes to rank i; returns the vector received from each rank.
@@ -121,11 +142,11 @@ class Comm {
     if (static_cast<int>(send.size()) != size()) {
       throw std::logic_error("alltoall: sendbuf size != comm size");
     }
-    auto contribs = run_collective(Kind::alltoall, std::any(send),
-                                   bytes_each * size());
+    const auto sealed = run_collective(Kind::alltoall, std::any(send),
+                                       bytes_each * size());
     std::vector<T> out;
-    out.reserve(contribs->size());
-    for (const std::any& a : *contribs) {
+    out.reserve(sealed->contributions.size());
+    for (const std::any& a : sealed->contributions) {
       const auto& row = std::any_cast<const std::vector<T>&>(a);
       out.push_back(row[static_cast<std::size_t>(rank_)]);
     }
@@ -156,32 +177,26 @@ class Comm {
 
   template <typename T>
   T bcast(const T& value, int root, Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::bcast, std::any(value), bytes);
-    return std::any_cast<const T&>((*contribs)[static_cast<std::size_t>(root)]);
+    const auto sealed = run_collective(Kind::bcast, std::any(value), bytes);
+    return std::any_cast<const T&>(
+        sealed->contributions[static_cast<std::size_t>(root)]);
   }
 
   /// Root receives everyone's value (rank order); non-roots get empty.
   template <typename T>
   std::vector<T> gather(const T& value, int root,
                         Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::gather, std::any(value), bytes);
+    const auto sealed = run_collective(Kind::gather, std::any(value), bytes);
     if (rank_ != root) return {};
-    std::vector<T> out;
-    out.reserve(contribs->size());
-    for (const std::any& a : *contribs) out.push_back(std::any_cast<const T&>(a));
-    return out;
+    return unbox<T>(sealed->contributions);
   }
 
   template <typename T, typename BinaryOp>
   T reduce(const T& value, BinaryOp op, int root,
            Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::reduce, std::any(value), bytes);
+    const auto sealed = run_collective(Kind::reduce, std::any(value), bytes);
     if (rank_ != root) return T{};
-    T acc = std::any_cast<const T&>((*contribs)[0]);
-    for (std::size_t i = 1; i < contribs->size(); ++i) {
-      acc = op(acc, std::any_cast<const T&>((*contribs)[i]));
-    }
-    return acc;
+    return reduce_in_rank_order<T>(sealed->contributions, op);
   }
 
   /// MPI_Comm_split: ranks with equal color form a new communicator, ordered
@@ -196,13 +211,60 @@ class Comm {
   friend class CommState;
   enum class Kind { barrier, allreduce, allgather, alltoall, bcast, gather, reduce };
 
+  /// A released generic collective: every rank's contribution, indexed by
+  /// rank, and one memo slot. The first rank to read the operation derives
+  /// its result (a reduction, the gathered vector, a fold) into `memo`, and
+  /// the other ranks reuse it, so the host work of reading a collective is
+  /// O(p) per operation rather than per rank.
+  struct Sealed {
+    std::vector<std::any> contributions;
+    std::any memo;
+  };
+
   Comm(std::shared_ptr<CommState> state, int rank)
       : state_(std::move(state)), rank_(rank) {}
 
   /// Deposits this rank's contribution and blocks until all ranks arrive;
-  /// returns the full contribution vector indexed by rank.
-  std::shared_ptr<const std::vector<std::any>> run_collective(
-      Kind kind, std::any contribution, Offset bytes) const;
+  /// returns the operation's sealed contributions.
+  std::shared_ptr<Sealed> run_collective(Kind kind, std::any contribution,
+                                         Offset bytes) const;
+
+  /// The operation's memoised `R`, derived from the contributions by `make`
+  /// on first use. Throws when another rank memoised a different type for
+  /// the same operation.
+  template <typename R, typename Make>
+  static const R& memo(Sealed& sealed, Make make) {
+    if (!sealed.memo.has_value()) {
+      sealed.memo.emplace<R>(make(std::as_const(sealed.contributions)));
+    }
+    const R* result = std::any_cast<R>(&sealed.memo);
+    if (result == nullptr) {
+      throw std::logic_error(
+          "collective mismatch: ranks read one operation as different "
+          "result types");
+    }
+    return *result;
+  }
+
+  template <typename T>
+  static std::vector<T> unbox(const std::vector<std::any>& contribs) {
+    std::vector<T> out;
+    out.reserve(contribs.size());
+    for (const std::any& a : contribs) {
+      out.push_back(std::any_cast<const T&>(a));
+    }
+    return out;
+  }
+
+  template <typename T, typename BinaryOp>
+  static T reduce_in_rank_order(const std::vector<std::any>& contribs,
+                                BinaryOp& op) {
+    T acc = std::any_cast<const T&>(contribs[0]);
+    for (std::size_t i = 1; i < contribs.size(); ++i) {
+      acc = op(acc, std::any_cast<const T&>(contribs[i]));
+    }
+    return acc;
+  }
 
   std::shared_ptr<CommState> state_;
   int rank_ = -1;
@@ -239,8 +301,9 @@ class CommState {
   Request isend(int src, int dst, int tag, std::any payload, Offset bytes);
   Request irecv(int dst, int src, int tag);
 
-  std::shared_ptr<const std::vector<std::any>> collective(
-      int rank, Comm::Kind kind, std::any contribution, Offset bytes);
+  std::shared_ptr<Comm::Sealed> collective(int rank, Comm::Kind kind,
+                                           std::any contribution,
+                                           Offset bytes);
 
   void alltoall_counts(int rank, const std::vector<Offset>& send,
                        std::vector<Offset>& recv);
@@ -293,7 +356,7 @@ class CommState {
     Comm::Kind kind = Comm::Kind::barrier;
     bool typed = false;
     sim::SimEvent release;
-    std::shared_ptr<std::vector<std::any>> result;
+    std::shared_ptr<Comm::Sealed> result;
     sim::CausalToken cause = 0;  // last arriver's release emission
   };
 

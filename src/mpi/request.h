@@ -6,6 +6,7 @@
 
 #include <any>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -43,6 +44,19 @@ class [[nodiscard]] Request {
 
   /// For completed receive requests: the delivered packet.
   const Packet& packet() const;
+
+  /// For completed receive requests: moves the delivered payload out as a
+  /// `T`, so what the sender moved in arrives without a copy. Throws
+  /// std::logic_error when there is no delivered packet; afterwards the
+  /// request holds none.
+  template <typename T>
+  T take() {
+    (void)packet();  // throws without a delivered packet
+    T payload = std::any_cast<T>(std::move(state_->packet.payload));
+    state_->packet = Packet{};
+    state_->has_packet = false;
+    return payload;
+  }
 
   /// Creates a generalized request (MPI_Grequest_start): completed later by
   /// complete() / complete_at().

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace e10 {
 namespace {
 
@@ -64,6 +72,183 @@ TEST(DataView, PatternDiffersBySeed) {
     if (DataView::pattern_byte(1, i) != DataView::pattern_byte(2, i)) ++diff;
   }
   EXPECT_GT(diff, 200);  // seeds decorrelate almost every byte
+}
+
+// A lone synthetic run lives inline: no heap segment beside the view.
+static_assert(sizeof(DataView) <= 48);
+
+/// Reference model of a view: its maximal runs, each real (an index into
+/// the test's buffers) or synthetic (a seed), merged when one continues
+/// the last.
+struct ModelRun {
+  int buffer = -1;  // -1: synthetic
+  std::uint64_t seed = 0;
+  Offset start = 0;  // buffer offset, or synthetic origin
+  Offset length = 0;
+};
+using Model = std::vector<ModelRun>;
+
+void model_append(Model& model, const ModelRun& run) {
+  if (run.length == 0) return;
+  if (!model.empty()) {
+    ModelRun& last = model.back();
+    if (last.buffer == run.buffer && last.seed == run.seed &&
+        last.start + last.length == run.start) {
+      last.length += run.length;
+      return;
+    }
+  }
+  model.push_back(run);
+}
+
+Offset model_size(const Model& model) {
+  Offset total = 0;
+  for (const ModelRun& run : model) total += run.length;
+  return total;
+}
+
+Model model_slice(const Model& model, Offset offset, Offset length) {
+  Model out;
+  for (ModelRun run : model) {
+    const Offset skip = std::min(offset, run.length);
+    offset -= skip;
+    run.start += skip;
+    run.length = std::min(run.length - skip, length);
+    length -= run.length;
+    model_append(out, run);
+  }
+  return out;
+}
+
+TEST(DataView, InlineRunMatchesRope) {
+  // Seeded random chains of slice and concat over synthetic and real views,
+  // each checked byte for byte against a model materialised separately.
+  // Synthetic views draw from two seeds and 64-byte-aligned origins so
+  // continuations (which merge) are common.
+  for (std::uint64_t chain = 1; chain <= 20; ++chain) {
+    std::mt19937_64 rng(chain);
+    const auto uniform = [&rng](Offset lo, Offset hi) {
+      return lo + static_cast<Offset>(rng() % static_cast<std::uint64_t>(
+                                                   hi - lo + 1));
+    };
+    std::vector<std::shared_ptr<const std::vector<std::byte>>> buffers;
+    for (int b = 0; b < 3; ++b) {
+      std::vector<std::byte> bytes(512);
+      for (std::byte& x : bytes) x = static_cast<std::byte>(rng() & 0xFF);
+      buffers.push_back(
+          std::make_shared<const std::vector<std::byte>>(std::move(bytes)));
+    }
+    const auto expected_bytes = [&buffers](const Model& model) {
+      std::vector<std::byte> out;
+      for (const ModelRun& run : model) {
+        for (Offset i = 0; i < run.length; ++i) {
+          out.push_back(run.buffer < 0
+                            ? DataView::pattern_byte(run.seed, run.start + i)
+                            : (*buffers[static_cast<std::size_t>(
+                                  run.buffer)])[static_cast<std::size_t>(
+                                  run.start + i)]);
+        }
+      }
+      return out;
+    };
+    const auto fresh = [&]() -> std::pair<DataView, Model> {
+      Model model;
+      if (rng() % 3 == 0) {
+        const int b = static_cast<int>(uniform(0, 2));
+        const Offset start = uniform(0, 256);
+        const Offset length = uniform(1, 256);
+        model_append(model, ModelRun{b, 0, start, length});
+        return {DataView::real_slice(buffers[static_cast<std::size_t>(b)],
+                                     start, length),
+                model};
+      }
+      const std::uint64_t seed = 1 + rng() % 2;
+      const Offset origin = 64 * uniform(0, 8);
+      const Offset length = 64 * uniform(1, 4);
+      model_append(model, ModelRun{-1, seed, origin, length});
+      return {DataView::synthetic(seed, origin, length), model};
+    };
+
+    std::vector<std::pair<DataView, Model>> pool;
+    for (int i = 0; i < 6; ++i) pool.push_back(fresh());
+    for (int step = 0; step < 150; ++step) {
+      std::pair<DataView, Model> next;
+      const auto pick = [&]() -> const std::pair<DataView, Model>& {
+        return pool[static_cast<std::size_t>(
+            uniform(0, static_cast<Offset>(pool.size()) - 1))];
+      };
+      switch (rng() % 4) {
+        case 0: {  // slice
+          const auto& [view, model] = pick();
+          const Offset offset = uniform(0, view.size());
+          const Offset length = uniform(0, view.size() - offset);
+          next = {view.slice(offset, length),
+                  model_slice(model, offset, length)};
+          break;
+        }
+        case 1: {  // concat of 1-4 pool views
+          std::vector<DataView> views;
+          Model model;
+          for (Offset n = uniform(1, 4); n > 0; --n) {
+            const auto& [view, parts] = pick();
+            views.push_back(view);
+            for (const ModelRun& run : parts) model_append(model, run);
+          }
+          next = {DataView::concat(views), model};
+          break;
+        }
+        case 2: {  // cut a view into pieces and rejoin them
+          const auto& [view, model] = pick();
+          std::vector<DataView> pieces;
+          Offset at = 0;
+          while (at < view.size()) {
+            const Offset length = uniform(1, view.size() - at);
+            pieces.push_back(view.slice(at, length));
+            at += length;
+          }
+          next = {DataView::concat(pieces), model};
+          break;
+        }
+        default:
+          next = fresh();
+          break;
+      }
+
+      const auto& [view, model] = next;
+      SCOPED_TRACE("chain " + std::to_string(chain) + " step " +
+                   std::to_string(step));
+      ASSERT_EQ(view.size(), model_size(model));
+      ASSERT_EQ(view.materialize(), expected_bytes(model));
+      if (!view.empty()) {
+        const Offset i = uniform(0, view.size() - 1);
+        EXPECT_EQ(view.byte_at(i),
+                  expected_bytes(model)[static_cast<std::size_t>(i)]);
+      }
+      EXPECT_EQ(view.segment_count(), model.size());
+      EXPECT_EQ(view.is_real(), std::all_of(model.begin(), model.end(),
+                                            [](const ModelRun& run) {
+                                              return run.buffer >= 0;
+                                            }));
+      if (model.size() == 1 && model[0].buffer < 0) {
+        EXPECT_EQ(view.seed(), model[0].seed);
+        EXPECT_EQ(view.origin(), model[0].start);
+      } else {
+        EXPECT_THROW((void)view.seed(), std::logic_error);
+        EXPECT_THROW((void)view.origin(), std::logic_error);
+      }
+      if (model.size() == 1 && model[0].buffer >= 0) {
+        EXPECT_EQ(view.data(),
+                  buffers[static_cast<std::size_t>(model[0].buffer)]->data() +
+                      model[0].start);
+      } else {
+        EXPECT_EQ(view.data(), nullptr);
+      }
+      if (!view.empty()) {
+        pool[static_cast<std::size_t>(
+            uniform(0, static_cast<Offset>(pool.size()) - 1))] = next;
+      }
+    }
+  }
 }
 
 TEST(ByteStore, WriteAndReadBack) {

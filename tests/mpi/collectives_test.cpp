@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -51,6 +52,85 @@ TEST(Collectives, AllreduceMaxAndSum) {
     EXPECT_EQ(maxes[static_cast<std::size_t>(r)], 70);
     EXPECT_EQ(sums[static_cast<std::size_t>(r)], 280);
   }
+}
+
+TEST(Collectives, AllreduceFoldsOncePerOperation) {
+  // Each operation reduces its p contributions once, in rank order: p - 1
+  // invocations of `op` per operation, not p - 1 on every rank. The op is
+  // not commutative, so the digits also show the order.
+  Fixture f(4, 2);  // 8 ranks
+  int world_calls = 0;
+  int split_calls = 0;
+  std::vector<Offset> digits(8), split_digits(8);
+  f.world.launch([&](Comm comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    for (int i = 0; i < 3; ++i) {
+      digits[r] = comm.allreduce(Offset{comm.rank()}, [&](Offset a, Offset b) {
+        ++world_calls;
+        return a * 10 + b;
+      });
+    }
+    const Comm half = comm.split(comm.rank() % 2, comm.rank());
+    split_digits[r] =
+        half.allreduce(Offset{comm.rank()}, [&](Offset a, Offset b) {
+          ++split_calls;
+          return a * 10 + b;
+        });
+  });
+  f.engine.run();
+  EXPECT_EQ(world_calls, 3 * 7);
+  EXPECT_EQ(split_calls, 2 * 3);  // two 4-rank halves, one operation each
+  for (std::size_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(digits[r], 1234567);
+    EXPECT_EQ(split_digits[r], r % 2 == 0 ? 246 : 1357);
+  }
+}
+
+TEST(Collectives, AllgatherFoldRunsOnce) {
+  Fixture f(4, 2);  // 8 ranks
+  constexpr std::size_t kOps = 3;
+  int folds = 0;
+  std::vector<std::vector<std::shared_ptr<const std::vector<int>>>> got(
+      kOps, std::vector<std::shared_ptr<const std::vector<int>>>(8));
+  f.world.launch([&](Comm comm) {
+    for (std::size_t op = 0; op < kOps; ++op) {
+      got[op][static_cast<std::size_t>(comm.rank())] = comm.allgather_fold(
+          comm.rank() * 10 + static_cast<int>(op),
+          [&folds](const std::vector<int>& all) {
+            ++folds;
+            return all;
+          });
+    }
+  });
+  f.engine.run();
+  EXPECT_EQ(folds, static_cast<int>(kOps));
+  for (std::size_t op = 0; op < kOps; ++op) {
+    ASSERT_NE(got[op][0], nullptr);
+    std::vector<int> expected;
+    for (int r = 0; r < 8; ++r) {
+      expected.push_back(r * 10 + static_cast<int>(op));
+    }
+    EXPECT_EQ(*got[op][0], expected);
+    for (const auto& result : got[op]) {
+      EXPECT_EQ(result.get(), got[op][0].get());
+    }
+  }
+  EXPECT_NE(got[0][0].get(), got[1][0].get());
+
+  // Ranks that fold one operation to different result types are a
+  // mismatched collective.
+  Fixture mismatched(2, 1);
+  mismatched.world.launch([&](Comm comm) {
+    if (comm.rank() == 0) {
+      (void)comm.allgather_fold(
+          1, [](const std::vector<int>& all) { return all.size(); });
+    } else {
+      (void)comm.allgather_fold(1, [](const std::vector<int>& all) {
+        return static_cast<int>(all.size());
+      });
+    }
+  });
+  EXPECT_THROW(mismatched.engine.run(), std::logic_error);
 }
 
 TEST(Collectives, AllgatherOrderedByRank) {

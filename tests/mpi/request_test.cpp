@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "common/units.h"
 #include "mpi/info.h"
+#include "mpi/world.h"
 
 namespace e10::mpi {
 namespace {
@@ -89,6 +93,49 @@ TEST(Request, WaitAllSkipsInvalidEntries) {
   });
   engine.run();
   EXPECT_EQ(done, seconds(2));
+}
+
+TEST(Request, TakeMovesPayload) {
+  // Eager and rendezvous sizes, each with the receive posted before and
+  // after the send: the vector the sender moved in arrives with its buffer.
+  for (const Offset bytes : {Offset{4 * KiB}, Offset{1 * MiB}}) {
+    for (const bool recv_first : {true, false}) {
+      sim::Engine engine;
+      net::Fabric fabric(2, net::FabricParams{});
+      World world(engine, fabric, Topology(2, 1));
+      const int* sent = nullptr;
+      const int* arrived = nullptr;
+      std::vector<int> got;
+      world.launch([&](Comm comm) {
+        if (comm.rank() == 0) {
+          if (recv_first) comm.engine().delay(microseconds(5));
+          std::vector<int> payload(1024);
+          std::iota(payload.begin(), payload.end(), 0);
+          sent = payload.data();
+          Request outgoing = comm.isend(1, 7, std::move(payload), bytes);
+          outgoing.wait();
+          EXPECT_THROW((void)outgoing.take<std::vector<int>>(),
+                       std::logic_error);
+        } else {
+          if (!recv_first) comm.engine().delay(microseconds(5));
+          Request incoming = comm.irecv(0, 7);
+          incoming.wait();
+          got = incoming.take<std::vector<int>>();
+          arrived = got.data();
+          EXPECT_THROW((void)incoming.take<std::vector<int>>(),
+                       std::logic_error);
+          EXPECT_THROW((void)incoming.packet(), std::logic_error);
+        }
+      });
+      engine.run();
+      ASSERT_NE(sent, nullptr);
+      EXPECT_EQ(arrived, sent) << bytes << " bytes, recv_first=" << recv_first;
+      ASSERT_EQ(got.size(), 1024u);
+      EXPECT_EQ(got.back(), 1023);
+    }
+  }
+  Request invalid;
+  EXPECT_THROW((void)invalid.take<int>(), std::logic_error);
 }
 
 TEST(Info, SetGetMerge) {

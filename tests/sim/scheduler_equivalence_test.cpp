@@ -73,7 +73,8 @@ TEST(SchedulerEquivalence, PopOrderIndependentOfPushOrder) {
   std::vector<Key> keys;
   for (Time t = 0; t < 16; ++t) {
     for (std::uint64_t s = 0; s < 16; ++s) {
-      keys.emplace_back(t, t * 100 + s);  // unique seqs, many equal times
+      // Unique seqs, many equal times.
+      keys.emplace_back(t, static_cast<std::uint64_t>(t) * 100 + s);
     }
   }
   std::vector<Key> sorted = keys;
@@ -105,7 +106,7 @@ std::vector<std::pair<int, Time>> run_scenario(Engine& eng, int procs,
         trace.emplace_back(p, eng.now());
         switch (rng() % 4) {
           case 0:
-            eng.delay(microseconds(rng() % 7));
+            eng.delay(microseconds(static_cast<std::int64_t>(rng() % 7)));
             break;
           case 1:
             eng.yield();
