@@ -1,9 +1,10 @@
 // Substrate micro-benchmarks (google-benchmark): DES engine switch and
 // spawn rates, PFS client write throughput, MPI alltoall/point-to-point
 // overheads, ByteStore appends, and the host cost of one generic allgather
-// and allreduce, one collective open and one two-level write call as the
-// rank count grows. These establish the simulator's own performance
-// envelope — how much real time a simulated experiment costs.
+// and allreduce, one collective open, one two-level or flat write call and
+// one collective read call as the rank count grows. These establish the
+// simulator's own performance envelope — how much real time a simulated
+// experiment costs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -82,8 +83,14 @@ void BM_MpiAlltoall(benchmark::State& state) {
     mpi::World world(engine, fabric,
                      mpi::Topology(static_cast<std::size_t>(ranks), 1));
     world.launch([ranks](mpi::Comm comm) {
-      std::vector<Offset> send(static_cast<std::size_t>(ranks), 1);
-      for (int i = 0; i < 8; ++i) (void)comm.alltoall(send, sizeof(Offset));
+      // The dense shape: every rank sends to every rank.
+      for (int i = 0; i < 8; ++i) {
+        std::vector<std::pair<int, Offset>> send;
+        send.reserve(static_cast<std::size_t>(ranks));
+        for (int d = 0; d < ranks; ++d) send.emplace_back(d, 1);
+        benchmark::DoNotOptimize(
+            comm.alltoall(std::move(send), sizeof(Offset)));
+      }
     });
     engine.run();
   }
@@ -221,6 +228,66 @@ void BM_TwoLevelWriteCall(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kCalls);
 }
 BENCHMARK(BM_TwoLevelWriteCall)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_FlatWriteCall(benchmark::State& state) {
+  // kCalls flat write_at_all calls of 4 KiB per rank between one open and
+  // close: every round opens with the counts alltoall to the aggregators.
+  mpi::Info info;
+  info.set("romio_cb_write", "enable");
+  for (auto _ : state) {
+    state.PauseTiming();
+    workloads::Platform p(testbed_of(state.range(0)));
+    p.launch([&p, &info](mpi::Comm comm) {
+      auto file = mpiio::File::open(p.ctx, comm, "/pfs/bench_flat",
+                                    adio::amode::create | adio::amode::rdwr,
+                                    info);
+      if (!file.is_ok()) return;
+      for (int i = 0; i < kCalls; ++i) {
+        const Offset offset = (Offset{i} * comm.size() + comm.rank()) * 4 * KiB;
+        benchmark::DoNotOptimize(
+            file.value()
+                .write_at_all(offset, DataView::synthetic(1, offset, 4 * KiB))
+                .is_ok());
+      }
+      (void)file.value().close();
+    });
+    state.ResumeTiming();
+    p.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kCalls);
+}
+BENCHMARK(BM_FlatWriteCall)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_CollectiveReadCall(benchmark::State& state) {
+  // One collective write of 4 KiB per rank, then kCalls read_at_all calls
+  // of it: every round opens with the request alltoall to the aggregators.
+  // An item is one read call on every rank.
+  mpi::Info info;
+  info.set("romio_cb_write", "enable");
+  info.set("romio_cb_read", "enable");
+  for (auto _ : state) {
+    state.PauseTiming();
+    workloads::Platform p(testbed_of(state.range(0)));
+    p.launch([&p, &info](mpi::Comm comm) {
+      auto file = mpiio::File::open(p.ctx, comm, "/pfs/bench_read",
+                                    adio::amode::create | adio::amode::rdwr,
+                                    info);
+      if (!file.is_ok()) return;
+      const Offset offset = Offset{comm.rank()} * 4 * KiB;
+      (void)file.value().write_at_all(offset,
+                                      DataView::synthetic(1, offset, 4 * KiB));
+      for (int i = 0; i < kCalls; ++i) {
+        benchmark::DoNotOptimize(
+            file.value().read_at_all(offset, 4 * KiB).is_ok());
+      }
+      (void)file.value().close();
+    });
+    state.ResumeTiming();
+    p.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kCalls);
+}
+BENCHMARK(BM_CollectiveReadCall)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_ByteStoreWrite(benchmark::State& state) {
   for (auto _ : state) {

@@ -12,21 +12,10 @@
 
 namespace e10::adio {
 
-namespace {
-
-/// A rank's request for part of an aggregator's round window.
-struct ReadChunk {
-  int requester = 0;
-  Extent extent;
-};
-
-}  // namespace
-
 Result<std::vector<DataView>> read_strided_coll(
     AdioFile& fd, const std::vector<Extent>& wanted) {
   IoContext& ctx = *fd.ctx;
   const mpi::Comm& comm = fd.comm;
-  const int p = comm.size();
   const int me = comm.rank();
 
   std::vector<Extent> sorted = wanted;
@@ -78,30 +67,24 @@ Result<std::vector<DataView>> read_strided_coll(
   Status my_status = Status::ok();
   ByteStore assembled;  // pieces land here, keyed by file offset
 
-  // Round-persistent exchange buffers (entries touched by a round are
-  // cleared sparsely afterwards, so the steady state allocates nothing).
-  std::vector<std::vector<Extent>> requests_by_rank(
-      static_cast<std::size_t>(p));
   std::vector<mpi::Request> recv_requests;
   std::vector<mpi::Request> send_requests;
 
   for (Offset round = 0; round < ntimes; ++round) {
     auto& round_plan = plan[static_cast<std::size_t>(round)];
 
-    // Dissemination: every rank tells every aggregator which extents it
-    // wants this round (the read-side analogue of the alltoall).
-    for (const auto& [agg_index, extents] : round_plan) {
-      requests_by_rank[static_cast<std::size_t>(
-          fd.aggregators[agg_index])] = extents;
+    // Dissemination: every rank tells each aggregator it reads from which
+    // extents it wants this round (the read-side analogue of the alltoall).
+    // Only aggregators are addressed, so only they receive requests, one
+    // list per requester in ascending rank order.
+    std::vector<std::pair<int, std::vector<Extent>>> wants;
+    for (auto& [agg_index, extents] : round_plan) {
+      wants.emplace_back(fd.aggregators[agg_index], std::move(extents));
     }
-    std::vector<std::vector<Extent>> incoming;
+    std::vector<std::pair<int, std::vector<Extent>>> incoming;
     {
       obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_all2all);
-      incoming = comm.alltoall(requests_by_rank, 2 * sizeof(Offset) * 4);
-    }
-    for (const auto& [agg_index, extents] : round_plan) {
-      requests_by_rank[static_cast<std::size_t>(fd.aggregators[agg_index])]
-          .clear();
+      incoming = comm.alltoall(std::move(wants), 2 * sizeof(Offset) * 4);
     }
 
     // Post receives for the data I asked for.
@@ -111,58 +94,44 @@ Result<std::vector<DataView>> read_strided_coll(
           comm.irecv(fd.aggregators[agg_index], static_cast<int>(round)));
     }
 
-    // Aggregator: read the covering window once, slice per requester.
+    // Aggregator: read the covering window once, answer each requester
+    // with one message of its slices.
     send_requests.clear();
-    if (fd.is_aggregator()) {
-      std::vector<ReadChunk> chunks;
-      Offset lo = kNoOffset, hi = -1;
-      for (int src = 0; src < p; ++src) {
-        for (const Extent& e : incoming[static_cast<std::size_t>(src)]) {
-          chunks.push_back(ReadChunk{src, e});
-          lo = std::min(lo, e.offset);
-          hi = std::max(hi, e.end());
-        }
+    Offset lo = kNoOffset, hi = -1;
+    for (const auto& [requester, extents] : incoming) {
+      for (const Extent& e : extents) {
+        lo = std::min(lo, e.offset);
+        hi = std::max(hi, e.end());
       }
-      if (!chunks.empty()) {
-        auto window = read_contig(fd, lo, hi - lo);
-        if (!window.is_ok()) {
-          if (my_status.is_ok()) my_status = window.status();
-        } else {
-          // Group the chunks per requester and answer each with one
-          // message. Chunks were collected in ascending source order, so
-          // a flat append-grouped list matches the old map's iteration.
-          std::vector<std::pair<int, std::vector<mpi::IoPiece>>> replies;
-          for (const ReadChunk& chunk : chunks) {
+    }
+    if (!incoming.empty()) {
+      auto window = read_contig(fd, lo, hi - lo);
+      if (!window.is_ok()) {
+        if (my_status.is_ok()) my_status = window.status();
+      } else {
+        for (const auto& [requester, extents] : incoming) {
+          std::vector<mpi::IoPiece> pieces;
+          Offset bytes = 0;
+          for (const Extent& e : extents) {
             mpi::IoPiece piece;
-            piece.file = chunk.extent;
-            const Offset rel = chunk.extent.offset - lo;
+            piece.file = e;
+            const Offset rel = e.offset - lo;
             const Offset avail = window.value().size();
-            const Offset take =
-                std::clamp<Offset>(avail - rel, 0, chunk.extent.length);
+            const Offset take = std::clamp<Offset>(avail - rel, 0, e.length);
             // Reads near EOF may come back short; pad with zeros so the
             // requester always gets what it asked for.
             std::vector<DataView> parts;
             if (take > 0) parts.push_back(window.value().slice(rel, take));
-            if (take < chunk.extent.length) {
+            if (take < e.length) {
               parts.push_back(DataView::real(std::vector<std::byte>(
-                  static_cast<std::size_t>(chunk.extent.length - take),
-                  std::byte{0})));
+                  static_cast<std::size_t>(e.length - take), std::byte{0})));
             }
             piece.data = DataView::concat(parts);
-            if (replies.empty() || replies.back().first != chunk.requester) {
-              replies.emplace_back(chunk.requester,
-                                   std::vector<mpi::IoPiece>{});
-            }
-            replies.back().second.push_back(std::move(piece));
+            pieces.push_back(std::move(piece));
+            bytes += e.length;
           }
-          for (auto& [dst, pieces] : replies) {
-            Offset bytes = 0;
-            for (const mpi::IoPiece& piece : pieces) {
-              bytes += piece.file.length;
-            }
-            send_requests.push_back(comm.isend(dst, static_cast<int>(round),
-                                               std::move(pieces), bytes));
-          }
+          send_requests.push_back(comm.isend(requester, static_cast<int>(round),
+                                             std::move(pieces), bytes));
         }
       }
     }

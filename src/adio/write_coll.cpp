@@ -82,7 +82,6 @@ Status write_strided_coll(AdioFile& fd,
                           const std::vector<mpi::IoPiece>& mine_in) {
   IoContext& ctx = *fd.ctx;
   const mpi::Comm& comm = fd.comm;
-  const int p = comm.size();
   const int me = comm.rank();
 
   const std::vector<mpi::IoPiece> mine = sorted_by_offset(mine_in);
@@ -197,14 +196,9 @@ Status write_strided_coll(AdioFile& fd,
   };
 
   WritePipeline pipeline(fd, fd.hints.e10_pipeline);
-  // Round-persistent exchange buffers: the counts vectors, the request
-  // lists, and the aggregator's receive staging survive across rounds so
-  // the steady state allocates nothing. send_counts carries only this
-  // round's nonzero (aggregator, bytes) pairs, and only aggregators ask
-  // the alltoall to materialize recv_counts. The second group serves the
-  // two-level stages.
-  std::vector<std::pair<int, Offset>> send_counts;
-  std::vector<Offset> recv_counts;
+  // Round-persistent exchange buffers: the request lists and the
+  // aggregator's receive staging survive across rounds. The second group
+  // serves the two-level stages.
   std::vector<mpi::Request> requests;
   std::vector<mpi::IoPiece> received;
   std::vector<mpi::Request> gathers;
@@ -225,7 +219,7 @@ Status write_strided_coll(AdioFile& fd,
     }
 
     Offset round_send_bytes = 0;
-    send_counts.clear();
+    std::vector<std::pair<int, Offset>> send_counts;  // (aggregator, bytes)
     for (const auto& [agg_index, pieces] : round_plan) {
       Offset bytes = 0;
       for (const mpi::IoPiece& piece : pieces) bytes += piece.file.length;
@@ -242,10 +236,11 @@ Status write_strided_coll(AdioFile& fd,
 
     if (!fd.two_level) {
       // ---- Flat exchange (classic ext2ph) --------------------------------
+      // Only aggregators are addressed, so only they learn of senders.
+      std::vector<std::pair<int, Offset>> senders;  // (source, bytes)
       {
         obs::Span phase(ctx.tracer, me, prof::Phase::shuffle_all2all);
-        comm.alltoall_counts(send_counts,
-                             fd.is_aggregator() ? &recv_counts : nullptr);
+        senders = comm.alltoall(std::move(send_counts), sizeof(Offset));
       }
 
       // The shuffle lands in a collective buffer; with the pipeline enabled
@@ -254,15 +249,10 @@ Status write_strided_coll(AdioFile& fd,
       pipeline.acquire_buffer();
 
       requests.clear();
-      std::size_t nrecv = 0;
-      if (fd.is_aggregator()) {
-        for (int src = 0; src < p; ++src) {
-          if (recv_counts[static_cast<std::size_t>(src)] > 0) {
-            requests.push_back(comm.irecv(src, static_cast<int>(round)));
-            ++nrecv;
-          }
-        }
+      for (const auto& [src, bytes] : senders) {
+        requests.push_back(comm.irecv(src, static_cast<int>(round)));
       }
+      const std::size_t nrecv = requests.size();
       for (auto& [agg_index, pieces] : round_plan) {
         Offset bytes = 0;
         for (const mpi::IoPiece& piece : pieces) bytes += piece.file.length;
@@ -277,7 +267,7 @@ Status write_strided_coll(AdioFile& fd,
         mpi::Request::wait_all(requests);
       }
 
-      if (fd.is_aggregator() && nrecv > 0) {
+      if (nrecv > 0) {
         received.clear();
         for (std::size_t i = 0; i < nrecv; ++i) {
           auto pieces = requests[i].take<std::vector<mpi::IoPiece>>();

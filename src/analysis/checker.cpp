@@ -25,8 +25,9 @@ std::size_t ConcurrencyChecker::intern_lock(sim::LockId lock,
   if (inserted) {
     locks_.push_back(LockRec{name, kind});
   } else {
-    // Address reuse (a lock destroyed, another constructed at the same
-    // address) keeps the dense id but must not keep a stale identity.
+    // An unregistered id seen again (an extent lock, or a monitor over an
+    // object that never registers) keeps its slot and takes the latest
+    // identity.
     LockRec& rec = locks_[it->second];
     rec.name = name;
     rec.kind = kind;
@@ -107,7 +108,7 @@ void ConcurrencyChecker::on_shared_access(sim::ProcessId pid, const void* key,
     vars_.push_back(std::move(fresh));
   }
   VarState& var = vars_[it->second];
-  var.name = name;  // address reuse, as for locks
+  var.name = name;  // an unregistered key seen again, as for locks
   ProcState& ps = proc(pid);
 
   // Eraser state machine: C(v) starts as all locks held at the first
@@ -156,6 +157,17 @@ void ConcurrencyChecker::on_handoff(const void* key) {
   var.state = VarState::S::virgin;
   var.owner = sim::kNoProcess;
   var.lockset.clear();
+}
+
+// Registration drops the id's slot, so the object's first event interns a
+// new one: a reused address counts as a new object, and the counts in the
+// report do not depend on heap layout.
+void ConcurrencyChecker::on_lock_created(sim::LockId lock) {
+  lock_index_.erase(lock);
+}
+
+void ConcurrencyChecker::on_shared_created(const void* key) {
+  var_index_.erase(key);
 }
 
 std::string ConcurrencyChecker::describe_process(sim::ProcessId pid) const {

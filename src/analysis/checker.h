@@ -73,7 +73,7 @@ struct AnalysisSummary {
   std::vector<CycleFinding> cycles;
   std::size_t shared_vars = 0;
   std::size_t shared_accesses = 0;
-  std::size_t locks_tracked = 0;       // distinct lock instances seen
+  std::size_t locks_tracked = 0;       // distinct lock objects seen
   std::size_t lock_acquisitions = 0;
   std::size_t max_lock_depth = 0;      // blocking locks held at once
 };
@@ -108,6 +108,8 @@ class ConcurrencyChecker final : public sim::ConcurrencyObserver {
                         const std::string& name, bool is_write,
                         const char* site) override;
   void on_handoff(const void* key) override;
+  void on_lock_created(sim::LockId lock) override;
+  void on_shared_created(const void* key) override;
   std::string describe_process(sim::ProcessId pid) const override;
 
  private:

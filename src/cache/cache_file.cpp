@@ -158,7 +158,8 @@ bool CacheFile::crash_now(bool in_flush) {
   return params_.fault->crash_due(params_.rank, engine_.now(), in_flush);
 }
 
-Status CacheFile::write(const Extent& global, const DataView& data) {
+Result<bool> CacheFile::begin_append(const Extent& global,
+                                     const DataView& data) {
   if (closed_) {
     return Status::error(Errc::invalid_argument, "cache file closed");
   }
@@ -179,7 +180,7 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
     return Status::error(Errc::invalid_argument,
                          "cache write: extent/data size mismatch");
   }
-  if (data.empty()) return Status::ok();
+  if (data.empty()) return false;
 
   if (const Status s = ensure_allocated(append_cursor_ + data.size());
       !s.is_ok()) {
@@ -188,38 +189,29 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
   if (params_.coherent) {
     locks_->lock(params_.global_path, global);
   }
-  const Offset cache_offset = append_cursor_;
-  const Status written = local_fs_.write(cache_handle_, cache_offset, data);
-  if (!written.is_ok()) {
-    note_device_error(written.code());
-    if (params_.coherent) locks_->unlock(params_.global_path, global);
-    return written;
-  }
-  // Journal before the extent becomes visible: an extent the journal does
-  // not cover cannot be replayed after a crash, so a failed append fails
-  // the cache write and the caller writes through to the global file.
+  return true;
+}
+
+Status CacheFile::abort_append(const Extent& global, const Status& failed) {
+  note_device_error(failed.code());
+  if (params_.coherent) locks_->unlock(params_.global_path, global);
+  return failed;
+}
+
+void CacheFile::finish_append(const Extent& global, Offset cache_offset) {
   std::uint64_t seq = 0;
   if (journaling_) {
-    const WriteRecord record{next_seq_, global.offset, global.length,
-                             cache_offset};
-    const Status appended = local_fs_.write(journal_handle_, journal_cursor_,
-                                            encode_write_record(record));
-    if (!appended.is_ok()) {
-      note_device_error(appended.code());
-      if (params_.coherent) locks_->unlock(params_.global_path, global);
-      return appended;
-    }
     seq = next_seq_++;
     journal_cursor_ += kWriteRecordBytes;
   }
   consecutive_device_errors_ = 0;
-  append_cursor_ += data.size();
+  append_cursor_ += global.length;
   ++stats_.writes;
-  stats_.bytes_cached += data.size();
+  stats_.bytes_cached += global.length;
   if (writes_counter_ != nullptr) {
     writes_counter_->increment();
-    bytes_counter_->add(data.size());
-    write_hist_->observe(data.size());
+    bytes_counter_->add(global.length);
+    write_hist_->observe(global.length);
   }
 
   // Update the layout map; this write shadows any older overlapping entry.
@@ -229,7 +221,7 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
   if (params_.flush == FlushPolicy::none) {
     // Theoretical-bandwidth mode: data stays in the cache.
     if (params_.coherent) locks_->unlock(params_.global_path, global);
-    return Status::ok();
+    return;
   }
 
   SyncRequest request;
@@ -244,93 +236,48 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
   } else {
     deferred_.push_back(std::move(request));
   }
+}
+
+Status CacheFile::write(const Extent& global, const DataView& data) {
+  const Result<bool> begun = begin_append(global, data);
+  if (!begun.is_ok() || !begun.value()) return begun.status();
+  const Offset cache_offset = append_cursor_;
+  const Status written = local_fs_.write(cache_handle_, cache_offset, data);
+  if (!written.is_ok()) return abort_append(global, written);
+  // Journal before the extent becomes visible: an extent the journal does
+  // not cover cannot be replayed after a crash, so a failed append fails
+  // the cache write and the caller writes through to the global file.
+  if (journaling_) {
+    const WriteRecord record{next_seq_, global.offset, global.length,
+                             cache_offset};
+    const Status appended = local_fs_.write(journal_handle_, journal_cursor_,
+                                            encode_write_record(record));
+    if (!appended.is_ok()) return abort_append(global, appended);
+  }
+  finish_append(global, cache_offset);
   return Status::ok();
 }
 
 Result<Time> CacheFile::iwrite(const Extent& global, const DataView& data) {
-  if (closed_) {
-    return Status::error(Errc::invalid_argument, "cache file closed");
-  }
-  if (crash_now(/*in_flush=*/false)) {
-    simulate_crash();
-    return Status::error(Errc::unavailable,
-                         "cache: simulated crash of rank " +
-                             std::to_string(params_.rank));
-  }
-  if (degraded_) {
-    return Status::error(Errc::unavailable,
-                         "cache: local device quarantined (rank " +
-                             std::to_string(params_.rank) + ")");
-  }
-  if (global.length != data.size()) {
-    return Status::error(Errc::invalid_argument,
-                         "cache write: extent/data size mismatch");
-  }
-  if (data.empty()) return engine_.now();
-
-  if (const Status s = ensure_allocated(append_cursor_ + data.size());
-      !s.is_ok()) {
-    return s;  // caller falls back to a direct global-file write
-  }
-  if (params_.coherent) {
-    locks_->lock(params_.global_path, global);
-  }
+  const Result<bool> begun = begin_append(global, data);
+  if (!begun.is_ok()) return begun.status();
+  if (!begun.value()) return engine_.now();
   const Offset cache_offset = append_cursor_;
   const auto written = local_fs_.write_async(cache_handle_, cache_offset, data);
-  if (!written.is_ok()) {
-    note_device_error(written.status().code());
-    if (params_.coherent) locks_->unlock(params_.global_path, global);
-    return written.status();
-  }
+  if (!written.is_ok()) return abort_append(global, written.status());
   Time completion = written.value();
   // Journal before the extent becomes visible (same rule as write()); the
   // sidecar append shares the device's FIFO timeline, so the completion
   // time covers both the data and its journal record.
-  std::uint64_t seq = 0;
   if (journaling_) {
     const WriteRecord record{next_seq_, global.offset, global.length,
                              cache_offset};
     const auto appended = local_fs_.write_async(
         journal_handle_, journal_cursor_, encode_write_record(record));
-    if (!appended.is_ok()) {
-      note_device_error(appended.status().code());
-      if (params_.coherent) locks_->unlock(params_.global_path, global);
-      return appended.status();
-    }
+    if (!appended.is_ok()) return abort_append(global, appended.status());
     completion = std::max(completion, appended.value());
-    seq = next_seq_++;
-    journal_cursor_ += kWriteRecordBytes;
   }
-  consecutive_device_errors_ = 0;
-  append_cursor_ += data.size();
-  ++stats_.writes;
-  stats_.bytes_cached += data.size();
-  if (writes_counter_ != nullptr) {
-    writes_counter_->increment();
-    bytes_counter_->add(data.size());
-    write_hist_->observe(data.size());
-  }
-
-  E10_SHARED_WRITE(extent_map_var_);
-  apply_extent(extent_map_, global, cache_offset, seq);
-
-  if (params_.flush == FlushPolicy::none) {
-    if (params_.coherent) locks_->unlock(params_.global_path, global);
-    return completion;
-  }
-
-  SyncRequest request;
-  request.global = global;
-  request.cache_offset = cache_offset;
-  request.seq = seq;
-  request.grequest = mpi::Request::grequest(engine_);
-  request.release_lock = params_.coherent;
-  outstanding_.push_back(request.grequest);
-  if (params_.flush == FlushPolicy::immediate) {
-    sync_->enqueue(std::move(request));
-  } else {
-    deferred_.push_back(std::move(request));
-  }
+  finish_append(global, cache_offset);
   return completion;
 }
 

@@ -196,6 +196,18 @@ class CacheFile {
             LockTable* locks, lfs::FileHandle cache_handle);
 
   Status ensure_allocated(Offset needed_end);
+  /// write()/iwrite() up to the device: the checks, the allocation and, in
+  /// coherent mode, the extent lock. Returns true when `data` is to be
+  /// appended at append_cursor_, false for an empty write (nothing to do),
+  /// or the error the caller returns.
+  Result<bool> begin_append(const Extent& global, const DataView& data);
+  /// A device write after begin_append failed: counts `failed` towards
+  /// quarantine, drops the extent lock and returns `failed`.
+  Status abort_append(const Extent& global, const Status& failed);
+  /// write()/iwrite() after the data and its journal record reached the
+  /// device: sequence number, cursors, stats, the extent map, and the sync
+  /// request, dispatched now or deferred per the flush policy.
+  void finish_append(const Extent& global, Offset cache_offset);
   /// Quarantine bookkeeping for a failed local-device operation.
   void note_device_error(Errc code);
   bool crash_now(bool in_flush);

@@ -25,6 +25,8 @@ SyncThread::SyncThread(sim::Engine& engine, lfs::LocalFs& local_fs,
       stats_var_(engine, "cache.sync.stats:" + global_path_),
       inbox_var_(engine, "cache.sync.inbox:" + global_path_),
       inbox_monitor_name_("cache.sync.inbox.monitor:" + global_path_) {
+  // The inbox monitor is keyed on this heap object's inbox_.
+  sim::lock_created(engine_, &inbox_);
   if (staging_bytes_ <= 0) {
     throw std::logic_error("SyncThread: staging buffer must be > 0");
   }

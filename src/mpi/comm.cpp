@@ -83,16 +83,6 @@ std::shared_ptr<Comm::Sealed> Comm::run_collective(Kind kind,
   return state_->collective(rank_, kind, std::move(contribution), bytes);
 }
 
-void Comm::alltoall_counts(const std::vector<Offset>& send,
-                           std::vector<Offset>& recv) const {
-  state_->alltoall_counts(rank_, send, recv);
-}
-
-void Comm::alltoall_counts(const std::vector<std::pair<int, Offset>>& send,
-                           std::vector<Offset>* recv) const {
-  state_->alltoall_counts_sparse(rank_, send, recv);
-}
-
 Comm Comm::split(int color, int key) const {
   int new_rank = -1;
   auto child = state_->split_child(rank_, color, key, &new_rank);
@@ -175,7 +165,6 @@ Request CommState::isend(int src, int dst, int tag, std::any payload,
     throw std::logic_error("isend: destination rank out of range");
   }
   if (bytes < 0) throw std::logic_error("isend: negative byte count");
-  ++p2p_messages_;
 
   const Time now = engine_.now();
   const net::Fabric::TransferTimes times = fabric_.transfer_times(
@@ -305,7 +294,6 @@ CommState::CollOp& CommState::collective_slot(int rank, Comm::Kind kind) {
   if (idx == coll_ops_.size()) {
     coll_ops_.emplace_back(engine_);
     coll_ops_.back().kind = kind;
-    ++coll_ops_started_;
   }
   CollOp& op = coll_ops_[idx];
   if (op.kind != kind) {
@@ -324,10 +312,8 @@ void CommState::complete_arrival(CollOp& op, Offset bytes) {
     // Last arriver: everyone leaves at max arrival + modeled tree cost.
     const Time release =
         op.max_arrival + collective_cost(op.kind, op.max_bytes);
-    if (!op.typed) {
-      op.result = std::make_shared<Comm::Sealed>(
-          Comm::Sealed{std::move(op.contributions), {}});
-    }
+    op.result = std::make_shared<Comm::Sealed>(
+        Comm::Sealed{std::move(op.contributions), {}});
     // Every released participant was gated on the last arriver — the
     // collective straggler edge the critical-path walk follows.
     if (sim::CausalObserver* causal = engine_.causal_observer();
@@ -354,43 +340,8 @@ void CommState::depart(CollOp& op) {
   // Ranks depart op g before joining g+1, so full departure happens in
   // sequence order and only the front ever retires.
   while (!coll_ops_.empty() && coll_ops_.front().departed == p) {
-    if (coll_ops_.front().typed) {
-      counts_pool_.push_back(std::move(coll_ops_.front().counts));
-    }
     coll_ops_.pop_front();
     ++coll_base_;
-  }
-}
-
-std::vector<CommState::CountEntry> CommState::acquire_counts() {
-  if (!counts_pool_.empty()) {
-    std::vector<CountEntry> counts = std::move(counts_pool_.back());
-    counts_pool_.pop_back();
-    counts.clear();
-    return counts;
-  }
-  return {};
-}
-
-CommState::CollOp& CommState::join_counts(int rank) {
-  CollOp& op = collective_slot(rank, Comm::Kind::alltoall);
-  if (op.arrived == 0) {
-    op.typed = true;
-    op.counts = acquire_counts();
-  } else if (!op.typed) {
-    throw std::logic_error("collective mismatch on comm '" + name_ +
-                           "': typed and generic alltoall at the same step");
-  }
-  return op;
-}
-
-void CommState::extract_counts(const CollOp& op, int rank,
-                               std::vector<Offset>& recv) {
-  recv.assign(static_cast<std::size_t>(size()), 0);
-  for (const CountEntry& entry : op.counts) {
-    if (entry.dst == rank) {
-      recv[static_cast<std::size_t>(entry.src)] = entry.bytes;
-    }
   }
 }
 
@@ -398,10 +349,6 @@ std::shared_ptr<Comm::Sealed> CommState::collective(int rank, Comm::Kind kind,
                                                     std::any contribution,
                                                     Offset bytes) {
   CollOp& op = collective_slot(rank, kind);
-  if (op.typed) {
-    throw std::logic_error("collective mismatch on comm '" + name_ +
-                           "': typed and generic alltoall at the same step");
-  }
   if (op.arrived == 0) {
     op.contributions.resize(static_cast<std::size_t>(size()));
   }
@@ -411,42 +358,6 @@ std::shared_ptr<Comm::Sealed> CommState::collective(int rank, Comm::Kind kind,
   std::shared_ptr<Comm::Sealed> result = op.result;
   depart(op);
   return result;
-}
-
-void CommState::alltoall_counts(int rank, const std::vector<Offset>& send,
-                                std::vector<Offset>& recv) {
-  const auto p = static_cast<std::size_t>(size());
-  if (send.size() != p) {
-    throw std::logic_error("alltoall: sendbuf size != comm size");
-  }
-  CollOp& op = join_counts(rank);
-  for (std::size_t i = 0; i < p; ++i) {
-    if (send[i] != 0) {
-      op.counts.push_back(CountEntry{rank, static_cast<int>(i), send[i]});
-    }
-  }
-  complete_arrival(op, static_cast<Offset>(sizeof(Offset)) * size());
-  await_release(op);
-  extract_counts(op, rank, recv);
-  depart(op);
-}
-
-void CommState::alltoall_counts_sparse(
-    int rank, const std::vector<std::pair<int, Offset>>& send,
-    std::vector<Offset>* recv) {
-  CollOp& op = join_counts(rank);
-  for (const auto& [dst, bytes] : send) {
-    if (dst < 0 || dst >= size()) {
-      throw std::logic_error("alltoall: destination rank out of range");
-    }
-    op.counts.push_back(CountEntry{rank, dst, bytes});
-  }
-  complete_arrival(op, static_cast<Offset>(sizeof(Offset)) * size());
-  await_release(op);
-  if (recv != nullptr) {
-    extract_counts(op, rank, *recv);
-  }
-  depart(op);
 }
 
 std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,

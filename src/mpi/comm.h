@@ -134,46 +134,29 @@ class Comm {
         });
   }
 
-  /// `send[i]` goes to rank i; returns the vector received from each rank.
-  /// `bytes_each` is the wire size of one element.
+  /// MPI_Alltoall over the cells a rank actually fills: `send` holds this
+  /// rank's (destination rank, value) pairs, destinations unique within one
+  /// call; returns the (source rank, value) pairs addressed to this rank, in
+  /// ascending source order. The transpose is built once per operation, in
+  /// O(pairs + p), on the first rank to leave the collective; the others
+  /// copy their row out of it. Virtual cost and synchronisation are a dense
+  /// alltoall's: every rank is charged `bytes_each` per rank of the
+  /// communicator, whatever it sends. Throws std::logic_error for a
+  /// destination outside the communicator, and when ranks send one
+  /// operation different value types.
   template <typename T>
-  std::vector<T> alltoall(const std::vector<T>& send,
-                          Offset bytes_each = sizeof(T)) const {
-    if (static_cast<int>(send.size()) != size()) {
-      throw std::logic_error("alltoall: sendbuf size != comm size");
+  std::vector<std::pair<int, T>> alltoall(std::vector<std::pair<int, T>> send,
+                                          Offset bytes_each = sizeof(T)) const {
+    for (const auto& cell : send) {
+      if (cell.first < 0 || cell.first >= size()) {
+        throw std::logic_error("alltoall: destination rank out of range");
+      }
     }
-    const auto sealed = run_collective(Kind::alltoall, std::any(send),
-                                       bytes_each * size());
-    std::vector<T> out;
-    out.reserve(sealed->contributions.size());
-    for (const std::any& a : sealed->contributions) {
-      const auto& row = std::any_cast<const std::vector<T>&>(a);
-      out.push_back(row[static_cast<std::size_t>(rank_)]);
-    }
-    return out;
+    const auto sealed = run_collective(
+        Kind::alltoall, std::any(std::move(send)), bytes_each * size());
+    return memo<std::vector<std::vector<std::pair<int, T>>>>(
+        *sealed, &transpose<T>)[static_cast<std::size_t>(rank_)];
   }
-
-  /// Typed fast path for the per-round counts dissemination (the hottest
-  /// collective in the whole simulator — every exchange round of every
-  /// rank runs one). Virtual-time cost and synchronization semantics are
-  /// identical to alltoall<Offset>(send, sizeof(Offset)); the host-side
-  /// difference is that contributions land in a pooled sparse entry list
-  /// instead of per-rank std::any-boxed vector copies, and the result is
-  /// written into a caller-reused buffer (resized to size(), absent
-  /// entries zero).
-  void alltoall_counts(const std::vector<Offset>& send,
-                       std::vector<Offset>& recv) const;
-
-  /// Sparse variant: `send` holds this rank's nonzero (destination rank,
-  /// byte count) pairs — the caller usually knows them directly from its
-  /// round plan; destinations must be unique within one call — and
-  /// `recv`, when non-null, receives the dense
-  /// per-source counts. Passing nullptr skips result extraction entirely
-  /// (a rank that is not an aggregator never reads its counts), which is
-  /// a pure host-side shortcut: the rank still participates in, and is
-  /// charged for, the collective exactly as in the dense form.
-  void alltoall_counts(const std::vector<std::pair<int, Offset>>& send,
-                       std::vector<Offset>* recv) const;
 
   template <typename T>
   T bcast(const T& value, int root, Offset bytes = sizeof(T)) const {
@@ -213,9 +196,9 @@ class Comm {
 
   /// A released generic collective: every rank's contribution, indexed by
   /// rank, and one memo slot. The first rank to read the operation derives
-  /// its result (a reduction, the gathered vector, a fold) into `memo`, and
-  /// the other ranks reuse it, so the host work of reading a collective is
-  /// O(p) per operation rather than per rank.
+  /// its result (a reduction, the gathered vector, a fold, the alltoall
+  /// transpose) into `memo`, and the other ranks reuse it, so the host work
+  /// of reading a collective is O(p) per operation rather than per rank.
   struct Sealed {
     std::vector<std::any> contributions;
     std::any memo;
@@ -254,6 +237,28 @@ class Comm {
       out.push_back(std::any_cast<const T&>(a));
     }
     return out;
+  }
+
+  /// Row d holds the (source, value) pairs sent to rank d, sources
+  /// ascending: one pass over the contributions in rank order.
+  template <typename T>
+  static std::vector<std::vector<std::pair<int, T>>> transpose(
+      const std::vector<std::any>& contribs) {
+    using Cells = std::vector<std::pair<int, T>>;
+    std::vector<Cells> rows(contribs.size());
+    for (std::size_t src = 0; src < contribs.size(); ++src) {
+      const Cells* cells = std::any_cast<Cells>(&contribs[src]);
+      if (cells == nullptr) {
+        throw std::logic_error(
+            "collective mismatch: ranks sent one alltoall different value "
+            "types");
+      }
+      for (const auto& [dst, value] : *cells) {
+        rows[static_cast<std::size_t>(dst)].emplace_back(static_cast<int>(src),
+                                                         value);
+      }
+    }
+    return rows;
   }
 
   template <typename T, typename BinaryOp>
@@ -305,20 +310,10 @@ class CommState {
                                            std::any contribution,
                                            Offset bytes);
 
-  void alltoall_counts(int rank, const std::vector<Offset>& send,
-                       std::vector<Offset>& recv);
-  void alltoall_counts_sparse(int rank,
-                              const std::vector<std::pair<int, Offset>>& send,
-                              std::vector<Offset>* recv);
-
   std::shared_ptr<CommState> split_child(int caller_rank, int color, int key,
                                          int* new_rank);
 
   std::shared_ptr<CommState> dup_child(int caller_rank);
-
-  /// Diagnostics.
-  std::uint64_t p2p_messages() const { return p2p_messages_; }
-  std::uint64_t collectives() const { return coll_ops_started_; }
 
  private:
   struct PendingMsg {
@@ -336,25 +331,14 @@ class CommState {
     std::deque<PendingMsg> unexpected;
     std::deque<PendingRecv> posted;
   };
-  /// One nonzero cell of a typed alltoall's counts matrix.
-  struct CountEntry {
-    int src = 0;
-    int dst = 0;
-    Offset bytes = 0;
-  };
-
   struct CollOp {
     explicit CollOp(sim::Engine& engine) : release(engine) {}
     std::vector<std::any> contributions;
-    /// Typed alltoall_counts deposits (sparse, deposit order); empty
-    /// unless `typed`. Recycled through counts_pool_ on retirement.
-    std::vector<CountEntry> counts;
     std::size_t arrived = 0;
     std::size_t departed = 0;
     Time max_arrival = 0;
     Offset max_bytes = 0;
     Comm::Kind kind = Comm::Kind::barrier;
-    bool typed = false;
     sim::SimEvent release;
     std::shared_ptr<Comm::Sealed> result;
     sim::CausalToken cause = 0;  // last arriver's release emission
@@ -375,11 +359,6 @@ class CommState {
   /// Departure bookkeeping: the last leaver retires the op (ops retire
   /// strictly in sequence order, so only the deque front ever pops).
   void depart(CollOp& op);
-  /// Checks out a cleared entry list (pooled capacity) for a typed op.
-  std::vector<CountEntry> acquire_counts();
-  /// Shared join/extract core of the dense and sparse typed alltoalls.
-  CollOp& join_counts(int rank);
-  void extract_counts(const CollOp& op, int rank, std::vector<Offset>& recv);
 
   sim::Engine& engine_;
   net::Fabric& fabric_;
@@ -400,12 +379,8 @@ class CommState {
   std::vector<std::uint64_t> coll_seq_;
   std::deque<CollOp> coll_ops_;
   std::uint64_t coll_base_ = 0;
-  // Retired typed-alltoall entry lists awaiting reuse.
-  std::vector<std::vector<CountEntry>> counts_pool_;
   // Children created by split/dup at a given collective sequence.
   std::map<std::uint64_t, std::map<int, std::shared_ptr<CommState>>> children_;
-  std::uint64_t p2p_messages_ = 0;
-  std::uint64_t coll_ops_started_ = 0;
   int next_child_id_ = 0;
 };
 

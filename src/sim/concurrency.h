@@ -75,6 +75,12 @@ class ConcurrencyObserver {
   /// next accessor becomes its new exclusive owner.
   virtual void on_handoff(const void* key) = 0;
 
+  /// Registration: a lock (`on_lock_created`) or a piece of shared state
+  /// (`on_shared_created`) was constructed. Later events under that id are
+  /// a new object's, even where a destroyed object used the same address.
+  virtual void on_lock_created(LockId lock) = 0;
+  virtual void on_shared_created(const void* key) = 0;
+
   /// One-line description of the locks `pid` holds and the lock it is
   /// waiting for, for enriched DeadlockError reports. Empty when idle.
   virtual std::string describe_process(ProcessId pid) const = 0;
@@ -88,9 +94,11 @@ class SharedVar {
   SharedVar(Engine& engine, std::string name)
       : engine_(engine), name_(std::move(name)) {
     // A fresh variable can reuse a freed address (e.g. successive CacheFile
-    // objects across files): restart its epoch so the checker never carries
-    // a dead object's ownership state into this one.
-    handoff();
+    // objects across files): register it so the checker counts a new
+    // variable rather than carrying a dead object's state into this one.
+    if (ConcurrencyObserver* observer = engine_.concurrency_observer()) {
+      observer->on_shared_created(this);
+    }
   }
   SharedVar(const SharedVar&) = delete;
   SharedVar& operator=(const SharedVar&) = delete;
@@ -117,6 +125,15 @@ class SharedVar {
   Engine& engine_;
   std::string name_;
 };
+
+/// Registers the lock identified by `object`'s address (a mutex, or the
+/// structure a monitor guards) with the attached observer, if any. Call it
+/// where the object is constructed.
+inline void lock_created(Engine& engine, const void* object) {
+  if (ConcurrencyObserver* observer = engine.concurrency_observer()) {
+    observer->on_lock_created(reinterpret_cast<LockId>(object));
+  }
+}
 
 /// RAII claim of a synthetic monitor lock over an engine-atomic critical
 /// section (kind == LockKind::monitor; see the header comment). `object`

@@ -7,6 +7,11 @@
 
 namespace e10::sim {
 
+SimMutex::SimMutex(Engine& engine, std::string name)
+    : engine_(engine), name_(std::move(name)) {
+  lock_created(engine_, this);
+}
+
 void SimMutex::lock() {
   ConcurrencyObserver* observer =
       engine_.in_process() ? engine_.concurrency_observer() : nullptr;

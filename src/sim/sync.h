@@ -23,8 +23,7 @@ namespace e10::sim {
 /// optional name labels the mutex in race/deadlock reports.
 class E10_CAPABILITY("mutex") SimMutex {
  public:
-  explicit SimMutex(Engine& engine, std::string name = "mutex")
-      : engine_(engine), name_(std::move(name)) {}
+  explicit SimMutex(Engine& engine, std::string name = "mutex");
   SimMutex(const SimMutex&) = delete;
   SimMutex& operator=(const SimMutex&) = delete;
 

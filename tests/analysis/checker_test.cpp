@@ -3,6 +3,7 @@
 // stack in coherent cache mode, and its determinism guarantee.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "analysis/checker.h"
@@ -107,6 +108,33 @@ TEST(ConcurrencyChecker_, MonitorCountsTowardLocksets) {
   }
   engine.run();
   EXPECT_TRUE(checker.summary().races.empty());
+}
+
+TEST(ConcurrencyChecker_, ReusedAddressIsANewObject) {
+  // Objects built one after another in the same storage share an address;
+  // each still counts as its own variable and lock, so the report's counts
+  // do not depend on heap layout.
+  Engine engine;
+  ConcurrencyChecker checker(engine);
+  std::optional<SharedVar> var;
+  std::optional<SimMutex> mutex;
+  engine.spawn("user", [&] {
+    for (int i = 0; i < 2; ++i) {
+      var.emplace(engine, "fixture.var");
+      mutex.emplace(engine, "fixture.mutex");
+      {
+        const SimLock lock(*mutex);
+        E10_SHARED_WRITE(*var);
+      }
+      var.reset();
+      mutex.reset();
+    }
+  });
+  engine.run();
+  const AnalysisSummary s = checker.summary();
+  EXPECT_EQ(s.shared_vars, 2u);
+  EXPECT_EQ(s.locks_tracked, 2u);
+  EXPECT_TRUE(s.races.empty());
 }
 
 // ---- Fixture 2: a seeded AB/BA lock-order inversion -----------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -149,20 +150,169 @@ TEST(Collectives, AllgatherOrderedByRank) {
 
 TEST(Collectives, AlltoallTransposes) {
   Fixture f(4, 1);
-  std::vector<std::vector<int>> results(4);
+  std::vector<std::vector<std::pair<int, int>>> results(4);
   f.world.launch([&](Comm comm) {
-    // Rank r sends value 100*r + d to rank d.
-    std::vector<int> send;
-    for (int d = 0; d < 4; ++d) send.push_back(100 * comm.rank() + d);
-    results[static_cast<std::size_t>(comm.rank())] = comm.alltoall(send);
+    // Rank r sends value 100*r + d to rank d, listing destinations in
+    // descending order.
+    std::vector<std::pair<int, int>> send;
+    for (int d = 3; d >= 0; --d) send.emplace_back(d, 100 * comm.rank() + d);
+    results[static_cast<std::size_t>(comm.rank())] =
+        comm.alltoall(std::move(send));
   });
   f.engine.run();
   for (int r = 0; r < 4; ++r) {
-    const auto& got = results[static_cast<std::size_t>(r)];
-    ASSERT_EQ(got.size(), 4u);
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(got[static_cast<std::size_t>(s)], 100 * s + r);
+    std::vector<std::pair<int, int>> expected;
+    for (int s = 0; s < 4; ++s) expected.emplace_back(s, 100 * s + r);
+    EXPECT_EQ(results[static_cast<std::size_t>(r)], expected);
+  }
+}
+
+TEST(Collectives, AlltoallIsSparse) {
+  // Ranks 0-6 each address two of ranks 0-6; rank 7 sends nothing and
+  // nobody addresses it.
+  Fixture f(4, 2);  // 8 ranks
+  const auto destinations = [](int r) -> std::vector<int> {
+    if (r == 7) return {};
+    return {(r + 3) % 7, (r + 1) % 7};
+  };
+  std::vector<std::vector<std::pair<int, Offset>>> results(8);
+  f.world.launch([&](Comm comm) {
+    std::vector<std::pair<int, Offset>> send;
+    for (const int d : destinations(comm.rank())) {
+      send.emplace_back(d, Offset{10 * comm.rank() + d});
     }
+    results[static_cast<std::size_t>(comm.rank())] =
+        comm.alltoall(std::move(send));
+  });
+  f.engine.run();
+  for (int r = 0; r < 8; ++r) {
+    std::vector<std::pair<int, Offset>> expected;
+    for (int s = 0; s < 8; ++s) {
+      for (const int d : destinations(s)) {
+        if (d == r) expected.emplace_back(s, Offset{10 * s + r});
+      }
+    }
+    EXPECT_EQ(results[static_cast<std::size_t>(r)], expected) << "rank " << r;
+  }
+  EXPECT_EQ(results[1].size(), 2u);
+  EXPECT_TRUE(results[7].empty());
+}
+
+TEST(Collectives, AlltoallRejectsBadInput) {
+  for (const int bad : {-1, 4}) {
+    Fixture f(4, 1);
+    f.world.launch([bad](Comm comm) {
+      std::vector<std::pair<int, int>> send;
+      if (comm.rank() == 2) send.emplace_back(bad, 1);
+      (void)comm.alltoall(std::move(send));
+    });
+    EXPECT_THROW(f.engine.run(), std::logic_error) << "destination " << bad;
+  }
+
+  // Ranks that send one operation different value types.
+  Fixture types(2, 1);
+  types.world.launch([](Comm comm) {
+    if (comm.rank() == 0) {
+      (void)comm.alltoall(std::vector<std::pair<int, int>>{{1, 1}});
+    } else {
+      (void)comm.alltoall(std::vector<std::pair<int, Offset>>{{0, 1}});
+    }
+  });
+  EXPECT_THROW(types.engine.run(), std::logic_error);
+
+  // An alltoall and an allgather at the same step.
+  Fixture kinds(2, 1);
+  kinds.world.launch([](Comm comm) {
+    if (comm.rank() == 0) {
+      (void)comm.alltoall(std::vector<std::pair<int, int>>{{1, 1}});
+    } else {
+      (void)comm.allgather(1);
+    }
+  });
+  EXPECT_THROW(kinds.engine.run(), std::logic_error);
+}
+
+TEST(Collectives, AlltoallCostIsTheDenseCost) {
+  // Every rank is charged a dense alltoall's bytes_each * p, so the release
+  // time does not depend on how many pairs anybody sends: none, all p, or
+  // a different count on every rank.
+  constexpr int kRanks = 8;
+  constexpr Offset kBytesEach = 4 * KiB;
+  const MpiParams params;
+  const Time cost =
+      3 * params.coll_alpha +  // ceil(log2 8) tree stages
+      static_cast<Time>(static_cast<double>(kBytesEach * kRanks) * 1e9 /
+                        static_cast<double>(params.coll_bytes_per_second));
+  // Operation 0: nobody sends; 1: everybody sends p pairs; 2: rank r
+  // sends r pairs.
+  constexpr int kOps = 3;
+  const auto pairs_sent = [](int op, int rank) {
+    return op == 0 ? 0 : op == 1 ? kRanks : rank;
+  };
+  Fixture f(4, 2);
+  std::vector<std::vector<Time>> leave(kOps, std::vector<Time>(kRanks, -1));
+  f.world.launch([&](Comm comm) {
+    for (int op = 0; op < kOps; ++op) {
+      std::vector<std::pair<int, Offset>> send;
+      for (int d = 0; d < pairs_sent(op, comm.rank()); ++d) {
+        send.emplace_back(d, Offset{1});
+      }
+      (void)comm.alltoall(std::move(send), kBytesEach);
+      leave[static_cast<std::size_t>(op)][static_cast<std::size_t>(
+          comm.rank())] = comm.engine().now();
+    }
+  });
+  f.engine.run();
+  for (int op = 0; op < kOps; ++op) {
+    for (const Time t : leave[static_cast<std::size_t>(op)]) {
+      EXPECT_EQ(t, (op + 1) * cost) << "operation " << op;
+    }
+  }
+}
+
+/// Counts its copies; moves are free.
+struct Counted {
+  static inline int copies = 0;
+  explicit Counted(int v) : value(v) {}
+  Counted(const Counted& other) : value(other.value) { ++copies; }
+  Counted(Counted&&) noexcept = default;
+  Counted& operator=(const Counted& other) {
+    value = other.value;
+    ++copies;
+    return *this;
+  }
+  Counted& operator=(Counted&&) noexcept = default;
+  int value = 0;
+};
+
+TEST(Collectives, AlltoallTransposesOncePerOperation) {
+  // A dense exchange of p * p pairs: building the transpose copies each
+  // pair once, and each rank copies its own row out once. Reading every
+  // rank's contributions on every rank would copy p times as many.
+  constexpr int kRanks = 8;
+  constexpr int kOps = 3;
+  Counted::copies = 0;
+  Fixture f(4, 2);
+  std::vector<std::vector<int>> got(kRanks);
+  f.world.launch([&](Comm comm) {
+    for (int op = 0; op < kOps; ++op) {
+      std::vector<std::pair<int, Counted>> send;
+      for (int d = 0; d < kRanks; ++d) {
+        send.emplace_back(d, Counted(100 * comm.rank() + d));
+      }
+      auto& mine = got[static_cast<std::size_t>(comm.rank())];
+      mine.clear();
+      for (const auto& [src, value] : comm.alltoall(std::move(send))) {
+        mine.push_back(value.value);
+      }
+    }
+  });
+  f.engine.run();
+  EXPECT_LE(Counted::copies, kOps * 2 * kRanks * kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    std::vector<int> expected;
+    for (int s = 0; s < kRanks; ++s) expected.push_back(100 * s + r);
+    EXPECT_EQ(got[static_cast<std::size_t>(r)], expected);
   }
 }
 

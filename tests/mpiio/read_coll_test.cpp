@@ -2,6 +2,8 @@
 // holes, EOF clamping, interleaved views, romio_cb_read toggles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/units.h"
 #include "mpiio/file.h"
 #include "workloads/testbed.h"
@@ -167,6 +169,41 @@ TEST(CollRead, ReadersShareAggregatorWindowReads) {
     return p.pfs.stats().reads;
   };
   EXPECT_LT(pfs_reads_with("enable"), pfs_reads_with("disable"));
+}
+
+TEST(CollRead, VirtualEndTimeIsPinned) {
+  // Four interleaved collective writes, then four collective reads, of
+  // 48 KiB per rank and call through 64 KiB collective buffers. The end
+  // time (the latest rank clock after the reads) and the engine's event
+  // count are exact: a change to the read path's virtual time shows here.
+  Platform p(small_testbed());
+  constexpr Offset kBlock = 48 * KiB;
+  constexpr int kCalls = 4;
+  mpi::Info info = coll_read_info();
+  info.set("cb_buffer_size", "65536");
+  Time end = 0;
+  p.launch([&](mpi::Comm comm) {
+    auto file = File::open(p.ctx, comm, "/pfs/pinned", create | rdwr, info);
+    ASSERT_TRUE(file.is_ok());
+    const auto offset = [&comm](int call) {
+      return (Offset{call} * comm.size() + comm.rank()) * kBlock;
+    };
+    for (int i = 0; i < kCalls; ++i) {
+      ASSERT_TRUE(file.value().write_at_all(
+          offset(i), DataView::synthetic(50, offset(i), kBlock)));
+    }
+    for (int i = 0; i < kCalls; ++i) {
+      const auto got = file.value().read_at_all(offset(i), kBlock);
+      ASSERT_TRUE(got.is_ok());
+      ASSERT_EQ(got.value().byte_at(kBlock - 1),
+                DataView::pattern_byte(50, offset(i) + kBlock - 1));
+    }
+    end = std::max(end, comm.engine().now());
+    ASSERT_TRUE(file.value().close());
+  });
+  p.run();
+  EXPECT_EQ(end, 126'787'252);
+  EXPECT_EQ(p.engine.stats().events, 525u);
 }
 
 }  // namespace
