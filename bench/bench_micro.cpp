@@ -1,15 +1,16 @@
 // Substrate micro-benchmarks (google-benchmark): DES engine switch and
 // spawn rates, PFS client write throughput, MPI alltoall/point-to-point
-// overheads, ByteStore appends, and the host cost of one generic allgather
-// and allreduce, one collective open, one two-level or flat write call and
-// one collective read call as the rank count grows. These establish the
-// simulator's own performance envelope — how much real time a simulated
-// experiment costs.
+// overheads, ByteStore appends and interleaved flush writes, and the host
+// cost of one generic allgather and allreduce, one collective open, one
+// two-level or flat write call and one collective read call as the rank
+// count grows. These establish the simulator's own performance envelope —
+// how much real time a simulated experiment costs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <utility>
 
+#include "common/dataview.h"
 #include "common/units.h"
 #include "mpi/world.h"
 #include "mpiio/file.h"
@@ -300,6 +301,46 @@ void BM_ByteStoreWrite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_ByteStoreWrite)->Unit(benchmark::kMillisecond);
+
+void BM_ByteStoreInterleavedWrites(benchmark::State& state) {
+  // The sync threads' flush pattern into one Flash-IO global file at 512
+  // ranks: `writers` file domains drained round-robin in 512 KiB pieces
+  // after a 1 MiB header, 24 datasets of 2.5 MiB per rank, each rank's
+  // block one run of its own seed. The closing byte_at times the final
+  // consolidation.
+  const Offset writers = state.range(0);
+  constexpr Offset kRanks = 512;
+  constexpr Offset kVariables = 24;
+  constexpr Offset kPiece = 512 * KiB;
+  constexpr Offset kBlock = 5 * kPiece;
+  constexpr Offset kHeader = 1 * MiB;
+  constexpr Offset kDataset = kRanks * kBlock;
+  const Offset domain = kDataset / writers;
+  const Offset header_piece = kHeader / writers;
+  std::int64_t writes = 0;
+  for (auto _ : state) {
+    ByteStore store;
+    writes = 0;
+    for (Offset w = 0; w < writers; ++w, ++writes) {
+      store.write(w * header_piece,
+                  DataView::synthetic(0xEAD5, w * header_piece, header_piece));
+    }
+    for (Offset v = 0; v < kVariables; ++v) {
+      for (Offset k = 0; k < domain / kPiece; ++k) {
+        for (Offset w = 0; w < writers; ++w, ++writes) {
+          const Offset at = w * domain + k * kPiece;
+          store.write(kHeader + v * kDataset + at,
+                      DataView::synthetic(
+                          static_cast<std::uint64_t>(at / kBlock),
+                          v * kBlock + at % kBlock, kPiece));
+        }
+      }
+    }
+    benchmark::DoNotOptimize(store.byte_at(kHeader));
+  }
+  state.SetItemsProcessed(state.iterations() * writes);
+}
+BENCHMARK(BM_ByteStoreInterleavedWrites)->Arg(32)->Arg(512)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -161,6 +161,16 @@ DataView DataView::slice(Offset offset, Offset length) const {
   return out;
 }
 
+bool DataView::extend_if_continued(const DataView& next) {
+  if (segment_count() != 1 || next.segment_count() != 1) return false;
+  Segment mine_scratch;
+  Segment next_scratch;
+  const Segment& after = next.segments(next_scratch).front();
+  if (!segments(mine_scratch).front().continued_by(after)) return false;
+  append(after);
+  return true;
+}
+
 std::vector<std::byte> DataView::materialize() const {
   std::vector<std::byte> out(static_cast<std::size_t>(length_));
   Offset pos = 0;
@@ -203,10 +213,14 @@ void ByteStore::write(Offset offset, const DataView& view) {
   if (view.empty()) return;
   // In-order appends (offset at or past everything written so far) keep
   // the log sorted and non-overlapping; anything else defers shadowing
-  // resolution to the next read.
-  if (!segments_.empty() && offset < max_end_) dirty_ = true;
+  // resolution to the next read, or to the write that doubles the log.
+  if (!dirty_ && !segments_.empty() && offset < max_end_) {
+    dirty_ = true;
+    compact_at_ = std::max(kCompactFloor, 2 * segments_.size());
+  }
   segments_.push_back(Stored{offset, view, next_seq_++});
   max_end_ = std::max(max_end_, offset + view.size());
+  if (dirty_ && segments_.size() >= compact_at_) consolidate();
 }
 
 void ByteStore::consolidate() const {
@@ -220,9 +234,10 @@ void ByteStore::consolidate() const {
   // Sweep left to right. `active` is a max-heap (by seq) of the writes
   // covering the cursor; the top is the visible one — the latest write
   // wins, exactly the shadowing rule the eager map applied per write. A
-  // visible run is emitted only when the visible write changes, so a
-  // write that stays on top across a shadowed neighbour's start comes out
-  // as one segment, just as it would have under eager shadowing.
+  // visible run is emitted only when the visible write changes, and joins
+  // the previous run when it starts at its end and continues its bytes.
+  // The joined entry keeps the larger seq: entries no longer overlap, so
+  // a seq only has to stay below every later write's.
   const auto by_seq = [](const Stored* a, const Stored* b) {
     return a->seq < b->seq;
   };
@@ -236,12 +251,18 @@ void ByteStore::consolidate() const {
   Offset vis_start = 0;
   Offset cursor = 0;
   const auto emit = [&](Offset upto) {
-    if (visible != nullptr && upto > vis_start) {
-      out.push_back(Stored{vis_start,
-                           visible->view.slice(vis_start - visible->offset,
-                                               upto - vis_start),
-                           visible->seq});
+    if (visible == nullptr || upto <= vis_start) return;
+    DataView run =
+        visible->view.slice(vis_start - visible->offset, upto - vis_start);
+    if (!out.empty()) {
+      Stored& last = out.back();
+      if (last.offset + last.view.size() == vis_start &&
+          last.view.extend_if_continued(run)) {
+        last.seq = std::max(last.seq, visible->seq);
+        return;
+      }
     }
+    out.push_back(Stored{vis_start, std::move(run), visible->seq});
   };
   std::size_t i = 0;
   const std::size_t n = segments_.size();

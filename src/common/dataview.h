@@ -60,6 +60,12 @@ class DataView {
   /// Sub-view [offset, offset+length) of this view.
   DataView slice(Offset offset, Offset length) const;
 
+  /// Appends `next` when both views are one run and `next` continues this
+  /// one's bytes (same seed and following origin, or the following slice
+  /// of the same buffer); returns false and changes nothing otherwise. A
+  /// merge never grows a multi-segment rope, so it never allocates.
+  bool extend_if_continued(const DataView& next);
+
   /// Materializes the view into a fresh byte vector (synthetic segments are
   /// expanded from their pattern).
   std::vector<std::byte> materialize() const;
@@ -111,19 +117,25 @@ class DataView {
 /// A sparse byte store: the in-memory model of one file's content, shared by
 /// the PFS and local-FS simulators and by the reference model in tests.
 ///
-/// Log-structured flat storage: a write appends to a plain vector in O(1).
+/// A bounded log of merged runs: a write appends to a plain vector in O(1).
 /// Appends that extend the file in offset order (the cache data file, the
 /// journals, most server-side streams) keep the vector sorted and
-/// non-overlapping; an out-of-order or overlapping write just marks the
-/// store dirty, and the first subsequent read runs one O(k log k) sweep
-/// that sorts the log and resolves shadowing (later writes win) into
-/// non-overlapping segments. This replaced a std::map keyed by offset: the
-/// interleaved aggregator flush pattern made per-write tree surgery — and,
-/// worse, positional inserts in a naive sorted vector — the top cost of
-/// the whole write benchmark, while the log append is free and the sweep
-/// runs once per write burst.
+/// non-overlapping, one entry per write. An out-of-order or overlapping
+/// write marks the store dirty; one O(k log k) sweep then sorts the log,
+/// resolves shadowing (later writes win) and joins each visible run onto
+/// the previous one when it continues its bytes. The sweep runs at the
+/// first read, or as soon as a dirty log has doubled the length it had when
+/// the store was last clean (at least kCompactFloor entries), so
+/// interleaved writers — the aggregators' background flushes into one
+/// global file — hold about one entry per maximal run rather than one per
+/// flush. This replaced a std::map keyed by offset: the interleaved flush
+/// pattern made per-write tree surgery — and, worse, positional inserts in
+/// a naive sorted vector — the top cost of the whole write benchmark.
 class ByteStore {
  public:
+  /// A dirty log is never consolidated by writes below this many entries.
+  static constexpr std::size_t kCompactFloor = 1024;
+
   /// Writes `view` at `offset`, replacing anything underneath.
   void write(Offset offset, const DataView& view);
 
@@ -136,11 +148,16 @@ class ByteStore {
   /// Highest written offset + 1 (the file size if never truncated larger).
   Offset extent_end() const { return max_end_; }
 
-  /// Total number of distinct stored segments (for tests).
+  /// Number of stored segments after consolidation (for tests). A sweep
+  /// joins each single-run segment onto the previous one when it continues
+  /// its bytes; in-order appends to a clean store keep one segment each.
   std::size_t segment_count() const {
     consolidate();
     return segments_.size();
   }
+
+  /// Raw length of the write log, without consolidating (for tests).
+  std::size_t log_entries() const { return segments_.size(); }
 
   void clear() {
     segments_.clear();
@@ -156,12 +173,16 @@ class ByteStore {
     std::uint64_t seq = 0;  // insertion order; higher shadows lower
   };
 
-  /// Sorts the write log and resolves shadowing into non-overlapping
-  /// segments (ascending offset). No-op when the store is clean.
+  /// Sorts the write log, resolves shadowing and joins continuing runs
+  /// into non-overlapping segments (ascending offset). No-op when the
+  /// store is clean.
   void consolidate() const;
 
   mutable std::vector<Stored> segments_;
   mutable bool dirty_ = false;
+  /// Log length at which a dirty write consolidates; set when a write
+  /// makes the store dirty.
+  std::size_t compact_at_ = kCompactFloor;
   Offset max_end_ = 0;
   std::uint64_t next_seq_ = 0;
 };

@@ -251,6 +251,39 @@ TEST(DataView, InlineRunMatchesRope) {
   }
 }
 
+TEST(DataView, ExtendIfContinuedJoinsOnlyContinuingSingleRuns) {
+  DataView run = DataView::synthetic(5, 100, 50);
+  EXPECT_TRUE(run.extend_if_continued(DataView::synthetic(5, 150, 10)));
+  EXPECT_EQ(run.size(), 60);
+  EXPECT_EQ(run.origin(), 100);
+  EXPECT_FALSE(run.extend_if_continued(DataView::synthetic(6, 160, 10)));
+  EXPECT_FALSE(run.extend_if_continued(DataView::synthetic(5, 161, 10)));
+  EXPECT_FALSE(run.extend_if_continued(DataView()));
+  EXPECT_FALSE(DataView().extend_if_continued(run));
+  EXPECT_EQ(run.size(), 60);
+
+  const DataView whole = DataView::real(bytes_of({1, 2, 3, 4, 5, 6}));
+  DataView head = whole.slice(0, 2);
+  EXPECT_TRUE(head.extend_if_continued(whole.slice(2, 2)));
+  EXPECT_EQ(head.size(), 4);
+  EXPECT_EQ(head.data(), whole.data());
+  EXPECT_FALSE(head.extend_if_continued(whole.slice(5, 1)));
+  EXPECT_FALSE(head.extend_if_continued(DataView::real(bytes_of({5}))));
+  EXPECT_FALSE(head.extend_if_continued(DataView::synthetic(5, 160, 1)));
+  EXPECT_EQ(head.size(), 4);
+
+  // A rope on either side stays as it is, even where its bytes continue.
+  DataView rope = DataView::concat(
+      {DataView::synthetic(5, 0, 10), DataView::synthetic(7, 0, 10)});
+  EXPECT_FALSE(rope.extend_if_continued(DataView::synthetic(7, 10, 10)));
+  EXPECT_EQ(rope.size(), 20);
+  EXPECT_EQ(rope.segment_count(), 2u);
+  DataView lone = DataView::synthetic(5, 0, 10);
+  EXPECT_FALSE(lone.extend_if_continued(DataView::concat(
+      {DataView::synthetic(5, 10, 10), DataView::synthetic(7, 0, 10)})));
+  EXPECT_EQ(lone.size(), 10);
+}
+
 TEST(ByteStore, WriteAndReadBack) {
   ByteStore store;
   store.write(100, DataView::real(bytes_of({1, 2, 3})));
@@ -308,6 +341,413 @@ TEST(ByteStore, OverwriteIdenticalRange) {
   EXPECT_EQ(store.byte_at(10), std::byte{3});
   EXPECT_EQ(store.byte_at(11), std::byte{4});
   EXPECT_EQ(store.segment_count(), 1u);
+}
+
+TEST(ByteStore, InOrderAppendsNeverSweep) {
+  // Appends in offset order keep the log sorted and clean: one entry per
+  // write, past the floor, and neither a write nor a read sweeps it. A read
+  // across continuing entries still comes back as one run.
+  constexpr Offset kAppends =
+      4 * static_cast<Offset>(ByteStore::kCompactFloor);
+  ByteStore store;
+  for (Offset i = 0; i < kAppends; ++i) {
+    store.write(i * 64, DataView::synthetic(1, i * 64, 64));
+    ASSERT_EQ(store.log_entries(), static_cast<std::size_t>(i + 1));
+  }
+  const Offset end = kAppends * 64;
+  const auto buffer =
+      std::make_shared<const std::vector<std::byte>>(256, std::byte{7});
+  store.write(end, DataView::real_slice(buffer, 0, 128));
+  store.write(end + 128, DataView::real_slice(buffer, 128, 128));
+  store.write(end + 400, DataView::synthetic(2, 64, 64));  // past a gap
+  const auto appends = static_cast<std::size_t>(kAppends + 3);
+  EXPECT_EQ(store.log_entries(), appends);
+
+  const DataView first = store.read(0, end);
+  EXPECT_EQ(first.segment_count(), 1u);
+  EXPECT_EQ(first.origin(), 0);
+  EXPECT_EQ(store.read(end, 256).data(), buffer->data());
+  EXPECT_EQ(store.byte_at(end + 300), std::byte{0});
+  EXPECT_EQ(store.byte_at(end + 400), DataView::pattern_byte(2, 64));
+  EXPECT_EQ(store.segment_count(), appends);
+
+  // Rewriting the first bytes as they are dirties the store, and its sweep
+  // joins each continuing stretch: the pattern, the buffer, the lone run.
+  store.write(0, DataView::synthetic(1, 0, 64));
+  EXPECT_EQ(store.segment_count(), 3u);
+  EXPECT_EQ(store.read(0, end).origin(), 0);
+  EXPECT_EQ(store.byte_at(end + 300), std::byte{0});
+}
+
+TEST(ByteStore, SweepJoinsContinuingRunsAcrossWrites) {
+  // Two pieces of one run written out of order, and an overwrite whose
+  // bytes happen to continue what it covers: each is one run again.
+  ByteStore store;
+  store.write(100, DataView::synthetic(4, 100, 100));
+  store.write(0, DataView::synthetic(4, 0, 100));
+  store.write(300, DataView::synthetic(4, 0, 100));
+  store.write(320, DataView::synthetic(4, 20, 10));
+  EXPECT_EQ(store.log_entries(), 4u);
+  EXPECT_EQ(store.segment_count(), 2u);
+  EXPECT_EQ(store.read(0, 200).origin(), 0);
+  EXPECT_EQ(store.read(300, 100).origin(), 0);
+  // A shadowing write that does not continue still splits the run.
+  store.write(50, DataView::synthetic(9, 0, 10));
+  EXPECT_EQ(store.segment_count(), 4u);
+  EXPECT_EQ(store.byte_at(49), DataView::pattern_byte(4, 49));
+  EXPECT_EQ(store.byte_at(50), DataView::pattern_byte(9, 0));
+  EXPECT_EQ(store.byte_at(60), DataView::pattern_byte(4, 60));
+}
+
+TEST(ByteStore, DirtyLogConsolidatesWhenItDoubles) {
+  constexpr std::size_t kFloor = ByteStore::kCompactFloor;
+  {
+    // Descending pieces of one run: every write after the first lands
+    // below the end. The log grows until it reaches the floor, and that
+    // write's sweep joins it back into one run.
+    ByteStore store;
+    const Offset top = 16 * static_cast<Offset>(4 * kFloor);
+    std::size_t sweeps = 0;
+    for (std::size_t n = 0; n < 4 * kFloor; ++n) {
+      const Offset at = top - 16 * static_cast<Offset>(n);
+      const std::size_t before = store.log_entries();
+      store.write(at, DataView::synthetic(1, at, 16));
+      ASSERT_LT(store.log_entries(), kFloor);
+      if (store.log_entries() < before) {
+        ++sweeps;
+        ASSERT_EQ(before, kFloor - 1);
+        ASSERT_EQ(store.log_entries(), 1u);
+      }
+    }
+    EXPECT_EQ(sweeps, 4u);
+    EXPECT_EQ(store.segment_count(), 1u);
+  }
+  {
+    // 1500 runs of their own seed, 16 B apart: in-order appends, so the
+    // log stays clean and nothing sweeps. Continuing each run into its gap
+    // dirties the store, which then sweeps when the log doubles, not at
+    // the floor.
+    constexpr Offset kRuns = 1500;
+    const auto run_seed = [](Offset i) {
+      return 100 + static_cast<std::uint64_t>(i);
+    };
+    ByteStore store;
+    for (Offset i = 0; i < kRuns; ++i) {
+      store.write(32 * i, DataView::synthetic(run_seed(i), 0, 16));
+    }
+    EXPECT_EQ(store.log_entries(), static_cast<std::size_t>(kRuns));
+    for (Offset i = 0; i < kRuns; ++i) {
+      store.write(32 * i + 16, DataView::synthetic(run_seed(i), 16, 16));
+      const std::size_t expected =
+          i + 1 < kRuns ? static_cast<std::size_t>(kRuns + i + 1)
+                        : static_cast<std::size_t>(kRuns);
+      ASSERT_EQ(store.log_entries(), expected) << "continuation " << i;
+    }
+    EXPECT_EQ(store.segment_count(), static_cast<std::size_t>(kRuns));
+    EXPECT_EQ(store.read(32 * 7, 32).origin(), 0);
+    store.clear();
+    EXPECT_EQ(store.log_entries(), 0u);
+    EXPECT_EQ(store.extent_end(), 0);
+  }
+}
+
+/// Where one byte of the file comes from, in a flat reference model of a
+/// ByteStore that shares no code with it: byte `pos` of real buffer
+/// `buffer`, or of synthetic pattern `seed` when `buffer` is -1. An
+/// unwritten byte reads as zero.
+struct ByteSource {
+  bool written = false;
+  int buffer = -1;
+  std::uint64_t seed = 0;
+  Offset pos = 0;
+
+  bool continued_by(const ByteSource& next) const {
+    return written && next.written && buffer == next.buffer &&
+           seed == next.seed && pos + 1 == next.pos;
+  }
+};
+
+TEST(ByteStore, MatchesByteModelAcrossCompactions) {
+  // Seeded random write sequences checked against the flat model: in-order
+  // appends that continue the previous write, contiguous pieces of one run
+  // written out of order (joined by the sweep), partial overlaps and exact
+  // overwrites (shadowing) and writes past unwritten gaps, over synthetic
+  // runs of three seeds and slices of three shared real buffers. Short
+  // writes keep hundreds of runs live, so the stores sweep on writes both
+  // at the floor and at twice a longer log.
+  constexpr int kWrites = 5000;
+  constexpr int kCheckEvery = 500;
+  constexpr Offset kBufferBytes = 4 * units::KiB;
+  std::size_t floor_sweeps = 0;     // a write swept a log at the floor
+  std::size_t doubling_sweeps = 0;  // ... at twice a longer clean log
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto uniform = [&rng](Offset lo, Offset hi) {
+      return lo + static_cast<Offset>(rng() % static_cast<std::uint64_t>(
+                                                   hi - lo + 1));
+    };
+    std::vector<std::shared_ptr<const std::vector<std::byte>>> buffers;
+    for (int b = 0; b < 3; ++b) {
+      std::vector<std::byte> bytes(static_cast<std::size_t>(kBufferBytes));
+      for (std::byte& x : bytes) x = static_cast<std::byte>(rng() & 0xFF);
+      buffers.push_back(
+          std::make_shared<const std::vector<std::byte>>(std::move(bytes)));
+    }
+    const auto expected = [&buffers](const ByteSource& b) {
+      if (!b.written) return std::byte{0};
+      if (b.buffer < 0) return DataView::pattern_byte(b.seed, b.pos);
+      return (*buffers[static_cast<std::size_t>(b.buffer)])
+          [static_cast<std::size_t>(b.pos)];
+    };
+
+    ByteStore store;
+    std::vector<ByteSource> model;
+    std::size_t runs = 0;  // maximal continuing runs in the model
+    // The trigger, mirrored: a write below the extent of a clean store arms
+    // it at twice the log the store had, at least the floor, and the write
+    // that brings the log to it sweeps. A read sweeps a dirty store too.
+    bool clean = true;
+    std::size_t trigger = 0;
+    const auto source_at = [&model](Offset i) {
+      return i < static_cast<Offset>(model.size())
+                 ? model[static_cast<std::size_t>(i)]
+                 : ByteSource{};
+    };
+    const auto run_starts = [&](Offset lo, Offset hi) {
+      std::size_t starts = 0;
+      for (Offset i = lo; i < hi; ++i) {
+        const ByteSource b = source_at(i);
+        if (b.written && (i == 0 || !source_at(i - 1).continued_by(b))) {
+          ++starts;
+        }
+      }
+      return starts;
+    };
+    // A fresh source with room for `length` bytes.
+    const auto fresh = [&](Offset length) {
+      ByteSource s;
+      s.written = true;
+      if (rng() % 2 == 0) {
+        s.buffer = static_cast<int>(uniform(0, 2));
+        s.pos = uniform(0, kBufferBytes - length);
+      } else {
+        s.seed = static_cast<std::uint64_t>(uniform(1, 3));
+        s.pos = uniform(0, 4 * kBufferBytes);
+      }
+      return s;
+    };
+    // Usually none; one time in four, up to 16 unwritten bytes.
+    const auto gap = [&] { return rng() % 4 == 0 ? uniform(1, 16) : 0; };
+    Offset last_offset = 0;
+    Offset last_length = 0;
+    ByteSource last_source;
+    std::vector<std::pair<Offset, Offset>> history;  // (offset, length)
+    int writes = 0;
+
+    // Checks a copy: reading consolidates, and the store's own log must
+    // reach its trigger between checks.
+    const auto check = [&] {
+      const ByteStore copy = store;
+      const Offset extent = static_cast<Offset>(model.size());
+      ASSERT_EQ(copy.extent_end(), extent);
+      for (Offset i = 0; i < extent + 64; ++i) {
+        ASSERT_EQ(copy.byte_at(i), expected(source_at(i))) << "byte " << i;
+      }
+      for (int r = 0; r < 20; ++r) {
+        const Offset offset = uniform(0, extent + 32);
+        const Offset length = uniform(1, 1024);
+        const std::vector<std::byte> got =
+            copy.read(offset, length).materialize();
+        ASSERT_EQ(got.size(), static_cast<std::size_t>(length));
+        for (Offset i = 0; i < length; ++i) {
+          ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                    expected(source_at(offset + i)))
+              << "read " << offset << "+" << length << " at " << i;
+        }
+      }
+      ASSERT_EQ(copy.segment_count(), clean ? store.log_entries() : runs);
+    };
+    const auto write = [&](Offset offset, const ByteSource& s,
+                           Offset length) {
+      const DataView view =
+          s.buffer < 0
+              ? DataView::synthetic(s.seed, s.pos, length)
+              : DataView::real_slice(
+                    buffers[static_cast<std::size_t>(s.buffer)], s.pos,
+                    length);
+      const std::size_t before = store.log_entries();
+      if (clean && before > 0 && offset < static_cast<Offset>(model.size())) {
+        clean = false;
+        trigger = std::max(ByteStore::kCompactFloor, 2 * before);
+      }
+      store.write(offset, view);
+
+      const Offset end = offset + length;
+      if (static_cast<Offset>(model.size()) < end) {
+        model.resize(static_cast<std::size_t>(end));
+      }
+      const Offset hi = std::min(end + 1, static_cast<Offset>(model.size()));
+      runs -= run_starts(offset, hi);
+      for (Offset i = 0; i < length; ++i) {
+        ByteSource& b = model[static_cast<std::size_t>(offset + i)];
+        b = s;
+        b.pos = s.pos + i;
+      }
+      runs += run_starts(offset, hi);
+      if (!clean && before + 1 == trigger) {
+        // The sweep leaves one entry per maximal run.
+        ASSERT_EQ(store.log_entries(), runs) << "write " << writes;
+        ++(trigger == ByteStore::kCompactFloor ? floor_sweeps
+                                               : doubling_sweeps);
+        clean = true;
+      } else {
+        ASSERT_EQ(store.log_entries(), before + 1) << "write " << writes;
+      }
+
+      last_offset = offset;
+      last_length = length;
+      last_source = s;
+      history.emplace_back(offset, length);
+      if (++writes % kCheckEvery == 0) check();
+    };
+
+    while (writes < kWrites && !HasFatalFailure()) {
+      const Offset extent = static_cast<Offset>(model.size());
+      // One burst in 128 is a read instead, which consolidates the store
+      // itself.
+      const std::uint64_t kind = rng() % 128;
+      switch (kind == 0 ? 6 : kind % 6) {
+        case 0:
+        case 5: {  // one write anywhere, usually a partial overlap
+          const Offset length = uniform(1, 32);
+          write(uniform(0, extent), fresh(length), length);
+          break;
+        }
+        case 1: {  // pieces continuing one run in order, often at the end
+          const Offset pieces = uniform(2, 16);
+          const Offset piece = uniform(1, 32);
+          ByteSource s = fresh(pieces * piece);
+          Offset at = rng() % 3 != 0 ? extent + gap() : uniform(0, extent);
+          for (Offset k = 0; k < pieces && writes < kWrites; ++k) {
+            write(at, s, piece);
+            at += piece;
+            s.pos += piece;
+          }
+          break;
+        }
+        case 2: {  // contiguous pieces of one run, out of order
+          const Offset pieces = uniform(2, 8);
+          const Offset piece = uniform(1, 32);
+          const ByteSource s = fresh(pieces * piece);
+          const Offset at = uniform(0, extent);
+          std::vector<Offset> order;
+          for (Offset k = 0; k < pieces; ++k) order.push_back(k);
+          std::shuffle(order.begin(), order.end(), rng);
+          for (const Offset k : order) {
+            if (writes == kWrites) break;
+            ByteSource p = s;
+            p.pos += k * piece;
+            write(at + k * piece, p, piece);
+          }
+          break;
+        }
+        case 3: {  // exact overwrite of an earlier write
+          if (history.empty()) break;
+          const auto [offset, length] = history[static_cast<std::size_t>(
+              uniform(0, static_cast<Offset>(history.size()) - 1))];
+          write(offset, fresh(length), length);
+          break;
+        }
+        case 4: {  // continue the previous write where it ended
+          if (last_length == 0) break;
+          ByteSource s = last_source;
+          s.pos += last_length;
+          Offset length = uniform(1, 64);
+          if (s.buffer >= 0) length = std::min(length, kBufferBytes - s.pos);
+          if (length == 0) break;
+          // Sometimes past a gap: the bytes continue, their place not.
+          write(last_offset + last_length + gap(), s, length);
+          break;
+        }
+        default: {  // a read between writes
+          const Offset offset = uniform(0, extent);
+          const Offset length = uniform(1, 256);
+          const std::vector<std::byte> got =
+              store.read(offset, length).materialize();
+          for (Offset i = 0; i < length; ++i) {
+            ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                      expected(source_at(offset + i)));
+          }
+          if (!clean) {
+            ASSERT_EQ(store.log_entries(), runs);
+          }
+          clean = true;
+          break;
+        }
+      }
+    }
+  }
+  // The sequences do reach both triggers.
+  EXPECT_GE(floor_sweeps, 20u);
+  EXPECT_GE(doubling_sweeps, 10u);
+}
+
+TEST(ByteStore, InterleavedWritersStayMerged) {
+  // The aggregators' flush pattern of flashio_twolevel_32x4m at 512 ranks:
+  // 32 sync threads drain their file domains into one global file in
+  // 512 KiB pieces, interleaved round-robin. A 1 MiB header (32 pieces of
+  // one run), then 24 datasets of 512 ranks x 2.5 MiB, each rank's block
+  // one run of its own seed. 61,472 writes in all; one entry per write
+  // would be 61,472 segments, the merged runs are 512 x 24 + 1.
+  constexpr Offset kWriters = 32;
+  constexpr Offset kRanks = 512;
+  constexpr Offset kVariables = 24;
+  constexpr Offset kPiece = 512 * units::KiB;
+  constexpr Offset kBlock = 5 * kPiece;  // one rank's share of a dataset
+  constexpr Offset kHeader = 1 * units::MiB;
+  constexpr Offset kDataset = kRanks * kBlock;
+  constexpr Offset kDomain = kDataset / kWriters;
+  constexpr Offset kPiecesPerDomain = kDomain / kPiece;
+  ByteStore store;
+  std::size_t writes = 0;
+  std::size_t runs = 0;
+  std::size_t peak_log = 0;
+  const auto write = [&](Offset offset, std::uint64_t seed, Offset origin,
+                         Offset length, bool starts_run) {
+    store.write(offset, DataView::synthetic(seed, origin, length));
+    ++writes;
+    if (starts_run) ++runs;
+    peak_log = std::max(peak_log, store.log_entries());
+    ASSERT_LE(store.log_entries(),
+              std::max(ByteStore::kCompactFloor, 2 * runs));
+  };
+  const Offset header_piece = kHeader / kWriters;
+  for (Offset w = 0; w < kWriters; ++w) {
+    write(w * header_piece, 0xEAD5, w * header_piece, header_piece, w == 0);
+  }
+  for (Offset v = 0; v < kVariables; ++v) {
+    const Offset base = kHeader + v * kDataset;
+    for (Offset k = 0; k < kPiecesPerDomain; ++k) {
+      for (Offset w = 0; w < kWriters; ++w) {
+        const Offset in_dataset = w * kDomain + k * kPiece;
+        const Offset rank = in_dataset / kBlock;
+        const Offset in_block = in_dataset % kBlock;
+        write(base + in_dataset, 1000 + static_cast<std::uint64_t>(rank),
+              v * kBlock + in_block, kPiece, in_block == 0);
+      }
+    }
+  }
+  EXPECT_EQ(writes, 61472u);
+  EXPECT_EQ(runs, 12289u);
+  EXPECT_LT(peak_log, 2 * runs);
+  EXPECT_EQ(store.segment_count(), 12289u);
+  EXPECT_EQ(store.extent_end(), kHeader + kVariables * kDataset);
+  const DataView block = store.read(kHeader + 3 * kDataset + 7 * kBlock,
+                                    kBlock);
+  EXPECT_EQ(block.segment_count(), 1u);
+  EXPECT_EQ(block.seed(), 1007u);
+  EXPECT_EQ(block.origin(), 3 * kBlock);
 }
 
 }  // namespace

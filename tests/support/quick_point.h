@@ -1,6 +1,6 @@
-// The quick-scale coll_perf point `bench_sweep collperf --quick` runs: 64
+// The quick-scale points `bench_sweep collperf|flashio --quick` run: 64
 // ranks on 16 nodes, 1/8 of the paper's data and a 3.75 s compute delay.
-// Tests run it where an invariant must hold on the bench's own points.
+// Tests run them where an invariant must hold on the bench's own points.
 #pragma once
 
 #include <memory>
@@ -23,6 +23,14 @@ inline ExperimentSpec quick_collperf_spec(int aggregators, Offset cb,
   spec.workflow.num_files = files;
   spec.workflow.compute_delay = units::seconds_f(3.75);
   spec.workflow.include_last_phase = false;
+  return spec;
+}
+
+inline ExperimentSpec quick_flashio_spec(int aggregators, Offset cb,
+                                         CacheCase cache_case, int files) {
+  ExperimentSpec spec =
+      quick_collperf_spec(aggregators, cb, cache_case, files);
+  spec.workflow.base_path = "/pfs/flash_io";
   return spec;
 }
 

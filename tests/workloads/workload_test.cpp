@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <string>
+
 #include "adio/adio_file.h"
 #include "common/units.h"
 #include "mpiio/file.h"
 #include "obs/report.h"
+#include "support/quick_point.h"
+#include "workloads/experiment.h"
 #include "workloads/testbed.h"
+#include "workloads/workflow.h"
 
 namespace e10::workloads {
 namespace {
@@ -176,6 +183,30 @@ TEST(FlashIo, DatasetContentIsPerRankPattern) {
   const Offset rank1 = header + 1 * 4 * 8 * KiB;
   // Rank 1's payload stream position for dataset 0 starts at 0.
   EXPECT_NE(store->byte_at(rank1), std::byte{0});
+}
+
+TEST(FlashIo, QuickPointFilesHoldOneRunPerRankAndVariable) {
+  // `bench_sweep flashio --quick` at 8_4m with the cache enabled: the sync
+  // threads drain each global file in 7,688 interleaved flush writes, and
+  // its ByteStore keeps them as merged runs, one per (rank, variable) plus
+  // the header, in a log that never doubles past them.
+  const ExperimentSpec spec =
+      quick_flashio_spec(8, 4 * MiB, CacheCase::enabled, 2);
+  Platform platform(spec.testbed);
+  WorkflowParams workflow = spec.workflow;
+  workflow.hints = experiment_hints(spec);
+  workflow.deferred_close = true;
+  const FlashIoWorkload workload;
+  (void)run_workflow(platform, workload, workflow);
+  const std::size_t runs = 64 * 24 + 1;
+  for (int k = 0; k < workflow.num_files; ++k) {
+    const ByteStore* store =
+        platform.pfs.peek(workflow.base_path + "_" + std::to_string(k));
+    ASSERT_NE(store, nullptr);
+    EXPECT_LE(store->log_entries(),
+              std::max(ByteStore::kCompactFloor, 2 * runs));
+    EXPECT_EQ(store->segment_count(), runs);
+  }
 }
 
 TEST(Ior, SegmentedLayout) {

@@ -5,9 +5,10 @@
 // Every malloc, calloc and realloc the process makes (operator new
 // included: libstdc++ implements it with malloc) is counted with its
 // requested bytes, and forwarded to glibc's own allocator. At exit the
-// totals go to stderr as one line:
+// totals go to stderr as one line, with the process's peak resident set
+// (getrusage's ru_maxrss) so any run can be measured for memory too:
 //
-//   alloc_count: calls=N malloc=N calloc=N realloc=N bytes=N
+//   alloc_count: calls=N malloc=N calloc=N realloc=N bytes=N peak_rss_kib=N
 //
 // The simulator is deterministic, so for one binary and seed the counts
 // repeat exactly; they measure allocator pressure, which gprof's flat
@@ -15,6 +16,7 @@
 // aligned allocations (posix_memalign, aligned_alloc) are not counted.
 // glibc only: the shim forwards to __libc_malloc and friends rather than
 // dlsym(RTLD_NEXT), which itself allocates.
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -44,15 +46,17 @@ __attribute__((destructor)) void report() {
   const std::uint64_t m = g_malloc.load();
   const std::uint64_t c = g_calloc.load();
   const std::uint64_t r = g_realloc.load();
-  char line[160];
+  rusage usage{};
+  (void)getrusage(RUSAGE_SELF, &usage);
+  char line[200];
   const int n = std::snprintf(
       line, sizeof line,
       "alloc_count: calls=%llu malloc=%llu calloc=%llu realloc=%llu "
-      "bytes=%llu\n",
+      "bytes=%llu peak_rss_kib=%ld\n",
       static_cast<unsigned long long>(m + c + r),
       static_cast<unsigned long long>(m), static_cast<unsigned long long>(c),
       static_cast<unsigned long long>(r),
-      static_cast<unsigned long long>(g_bytes.load()));
+      static_cast<unsigned long long>(g_bytes.load()), usage.ru_maxrss);
   if (n > 0) {
     (void)!write(STDERR_FILENO, line, static_cast<std::size_t>(n));
   }
