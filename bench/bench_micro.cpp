@@ -50,7 +50,7 @@ void BM_EngineSpawnTeardown(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fibers);
 }
-BENCHMARK(BM_EngineSpawnTeardown)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineSpawnTeardown)->Arg(64)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_PfsClientWrite(benchmark::State& state) {
   const Offset block = state.range(0) * KiB;

@@ -2,36 +2,48 @@
 
 #include <charconv>
 #include <limits>
+#include <string_view>
 
 namespace e10::adio {
 
 namespace {
 
-Result<Toggle> parse_toggle(const std::string& key, const std::string& value) {
+Status invalid(std::string_view key, std::string_view what,
+               std::string_view value) {
+  std::string message(key);
+  message.append(what).append(value);
+  return Status::error(Errc::invalid_argument, std::move(message));
+}
+
+Result<Toggle> parse_toggle(std::string_view key, std::string_view value) {
   if (value == "enable" || value == "true") return Toggle::enable;
   if (value == "disable" || value == "false") return Toggle::disable;
   if (value == "automatic") return Toggle::automatic;
-  return Status::error(Errc::invalid_argument, key + ": bad value " + value);
+  return invalid(key, ": bad value ", value);
 }
 
-Result<Offset> parse_bytes(const std::string& key, const std::string& value) {
+Result<bool> parse_flag(std::string_view key, std::string_view value) {
+  if (value == "enable") return true;
+  if (value == "disable") return false;
+  return invalid(key, ": bad value ", value);
+}
+
+Result<Offset> parse_bytes(std::string_view key, std::string_view value) {
   Offset out = 0;
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), out);
   if (ec != std::errc() || ptr != value.data() + value.size() || out <= 0) {
-    return Status::error(Errc::invalid_argument,
-                         key + ": not a positive byte count: " + value);
+    return invalid(key, ": not a positive byte count: ", value);
   }
   return out;
 }
 
-Result<int> parse_int(const std::string& key, const std::string& value) {
+Result<int> parse_int(std::string_view key, std::string_view value) {
   int out = 0;
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), out);
   if (ec != std::errc() || ptr != value.data() + value.size() || out <= 0) {
-    return Status::error(Errc::invalid_argument,
-                         key + ": not a positive integer: " + value);
+    return invalid(key, ": not a positive integer: ", value);
   }
   return out;
 }
@@ -67,31 +79,31 @@ std::string to_string(FlushFlag f) {
 
 Result<Hints> Hints::parse(const mpi::Info& info) {
   Hints hints;
-  if (const auto v = info.get("romio_cb_write")) {
+  if (const std::string* v = info.find("romio_cb_write")) {
     auto t = parse_toggle("romio_cb_write", *v);
     if (!t.is_ok()) return t.status();
     hints.romio_cb_write = t.value();
   }
-  if (const auto v = info.get("romio_cb_read")) {
+  if (const std::string* v = info.find("romio_cb_read")) {
     auto t = parse_toggle("romio_cb_read", *v);
     if (!t.is_ok()) return t.status();
     hints.romio_cb_read = t.value();
   }
-  if (const auto v = info.get("cb_buffer_size")) {
+  if (const std::string* v = info.find("cb_buffer_size")) {
     auto b = parse_bytes("cb_buffer_size", *v);
     if (!b.is_ok()) return b.status();
     hints.cb_buffer_size = b.value();
   }
-  if (const auto v = info.get("cb_nodes")) {
+  if (const std::string* v = info.find("cb_nodes")) {
     auto n = parse_int("cb_nodes", *v);
     if (!n.is_ok()) return n.status();
     hints.cb_nodes = n.value();
   }
-  if (const auto v = info.get("cb_config_list")) {
+  if (const std::string* v = info.find("cb_config_list")) {
     // Common subset: "*:k" or "*:*".
-    const std::string& value = *v;
+    const std::string_view value = *v;
     if (value.starts_with("*:")) {
-      const std::string count = value.substr(2);
+      const std::string_view count = value.substr(2);
       if (count == "*") {
         hints.cb_config_per_node = std::numeric_limits<int>::max();
       } else {
@@ -104,17 +116,17 @@ Result<Hints> Hints::parse(const mpi::Info& info) {
                            "cb_config_list: only '*:k' forms are supported");
     }
   }
-  if (const auto v = info.get("striping_unit")) {
+  if (const std::string* v = info.find("striping_unit")) {
     auto b = parse_bytes("striping_unit", *v);
     if (!b.is_ok()) return b.status();
     hints.striping_unit = b.value();
   }
-  if (const auto v = info.get("striping_factor")) {
+  if (const std::string* v = info.find("striping_factor")) {
     auto n = parse_int("striping_factor", *v);
     if (!n.is_ok()) return n.status();
     hints.striping_factor = n.value();
   }
-  if (const auto v = info.get("e10_cache")) {
+  if (const std::string* v = info.find("e10_cache")) {
     if (*v == "enable") {
       hints.e10_cache = CacheMode::enable;
     } else if (*v == "disable") {
@@ -122,17 +134,16 @@ Result<Hints> Hints::parse(const mpi::Info& info) {
     } else if (*v == "coherent") {
       hints.e10_cache = CacheMode::coherent;
     } else {
-      return Status::error(Errc::invalid_argument,
-                           "e10_cache: bad value " + *v);
+      return invalid("e10_cache", ": bad value ", *v);
     }
   }
-  if (const auto v = info.get("e10_cache_path")) {
+  if (const std::string* v = info.find("e10_cache_path")) {
     if (v->empty()) {
       return Status::error(Errc::invalid_argument, "e10_cache_path: empty");
     }
     hints.e10_cache_path = *v;
   }
-  if (const auto v = info.get("e10_cache_flush_flag")) {
+  if (const std::string* v = info.find("e10_cache_flush_flag")) {
     if (*v == "flush_immediate") {
       hints.e10_cache_flush_flag = FlushFlag::flush_immediate;
     } else if (*v == "flush_onclose") {
@@ -140,71 +151,45 @@ Result<Hints> Hints::parse(const mpi::Info& info) {
     } else if (*v == "none") {
       hints.e10_cache_flush_flag = FlushFlag::none;
     } else {
-      return Status::error(Errc::invalid_argument,
-                           "e10_cache_flush_flag: bad value " + *v);
+      return invalid("e10_cache_flush_flag", ": bad value ", *v);
     }
   }
-  if (const auto v = info.get("e10_cache_discard_flag")) {
-    if (*v == "enable") {
-      hints.e10_cache_discard = true;
-    } else if (*v == "disable") {
-      hints.e10_cache_discard = false;
-    } else {
-      return Status::error(Errc::invalid_argument,
-                           "e10_cache_discard_flag: bad value " + *v);
-    }
+  if (const std::string* v = info.find("e10_cache_discard_flag")) {
+    auto f = parse_flag("e10_cache_discard_flag", *v);
+    if (!f.is_ok()) return f.status();
+    hints.e10_cache_discard = f.value();
   }
-  if (const auto v = info.get("e10_cache_read")) {
-    if (*v == "enable") {
-      hints.e10_cache_read = true;
-    } else if (*v == "disable") {
-      hints.e10_cache_read = false;
-    } else {
-      return Status::error(Errc::invalid_argument,
-                           "e10_cache_read: bad value " + *v);
-    }
+  if (const std::string* v = info.find("e10_cache_read")) {
+    auto f = parse_flag("e10_cache_read", *v);
+    if (!f.is_ok()) return f.status();
+    hints.e10_cache_read = f.value();
   }
-  if (const auto v = info.get("e10_cache_journal")) {
-    if (*v == "enable") {
-      hints.e10_cache_journal = true;
-    } else if (*v == "disable") {
-      hints.e10_cache_journal = false;
-    } else {
-      return Status::error(Errc::invalid_argument,
-                           "e10_cache_journal: bad value " + *v);
-    }
+  if (const std::string* v = info.find("e10_cache_journal")) {
+    auto f = parse_flag("e10_cache_journal", *v);
+    if (!f.is_ok()) return f.status();
+    hints.e10_cache_journal = f.value();
   }
-  if (const auto v = info.get("e10_pipeline_flag")) {
-    if (*v == "enable") {
-      hints.e10_pipeline = true;
-    } else if (*v == "disable") {
-      hints.e10_pipeline = false;
-    } else {
-      return Status::error(Errc::invalid_argument,
-                           "e10_pipeline_flag: bad value " + *v);
-    }
+  if (const std::string* v = info.find("e10_pipeline_flag")) {
+    auto f = parse_flag("e10_pipeline_flag", *v);
+    if (!f.is_ok()) return f.status();
+    hints.e10_pipeline = f.value();
   }
-  if (const auto v = info.get("e10_sync_streams")) {
+  if (const std::string* v = info.find("e10_sync_streams")) {
     auto n = parse_int("e10_sync_streams", *v);
     if (!n.is_ok()) return n.status();
     hints.e10_sync_streams = n.value();
   }
-  if (const auto v = info.get("e10_flush_coalesce_flag")) {
-    if (*v == "enable") {
-      hints.e10_flush_coalesce = true;
-    } else if (*v == "disable") {
-      hints.e10_flush_coalesce = false;
-    } else {
-      return Status::error(Errc::invalid_argument,
-                           "e10_flush_coalesce_flag: bad value " + *v);
-    }
+  if (const std::string* v = info.find("e10_flush_coalesce_flag")) {
+    auto f = parse_flag("e10_flush_coalesce_flag", *v);
+    if (!f.is_ok()) return f.status();
+    hints.e10_flush_coalesce = f.value();
   }
-  if (const auto v = info.get("e10_two_level_flag")) {
+  if (const std::string* v = info.find("e10_two_level_flag")) {
     auto t = parse_toggle("e10_two_level_flag", *v);
     if (!t.is_ok()) return t.status();
     hints.e10_two_level = t.value();
   }
-  if (const auto v = info.get("ind_wr_buffer_size")) {
+  if (const std::string* v = info.find("ind_wr_buffer_size")) {
     auto b = parse_bytes("ind_wr_buffer_size", *v);
     if (!b.is_ok()) return b.status();
     hints.ind_wr_buffer_size = b.value();

@@ -126,7 +126,7 @@ void FlushScheduler::acquire_buffer() {
   }
 }
 
-Time FlushScheduler::backoff_delay(const RetryPolicy& retry, Rng& rng,
+Time FlushScheduler::backoff_delay(const RetryPolicy& retry, LazyRng& rng,
                                    int attempt) {
   Time delay = retry.backoff_base;
   for (int i = 1; i < attempt && delay < retry.backoff_cap; ++i) {
@@ -135,14 +135,14 @@ Time FlushScheduler::backoff_delay(const RetryPolicy& retry, Rng& rng,
   delay = std::min(delay, retry.backoff_cap);
   if (retry.jitter > 0.0 && delay > 0) {
     delay += static_cast<Time>(static_cast<double>(delay) *
-                               rng.uniform(0.0, retry.jitter));
+                               rng.get().uniform(0.0, retry.jitter));
   }
   return delay;
 }
 
 BatchOutcome FlushScheduler::drain(std::vector<SyncRequest>& members,
                                    const RetryPolicy& retry,
-                                   Rng& backoff_rng) {
+                                   LazyRng& backoff_rng) {
   BatchOutcome outcome;
   E10_SHARED_WRITE(state_var_);
   ++stats_.batches;

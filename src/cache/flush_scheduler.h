@@ -135,11 +135,12 @@ class FlushScheduler {
   /// of stalling here on a join-all tail after every batch; in-flight
   /// writes carry over and are joined by later drains as buffers recycle.
   /// Retryable failures back off with the policy (delays drawn from
-  /// `backoff_rng`) and retry in place; on exhaustion everything in
-  /// flight is joined and the remaining work is left to the caller's
-  /// requeue ladder. Must run on the sync thread's simulated process.
+  /// `backoff_rng`, built at the first draw) and retry in place; on
+  /// exhaustion everything in flight is joined and the remaining work is
+  /// left to the caller's requeue ladder. Must run on the sync thread's
+  /// simulated process.
   BatchOutcome drain(std::vector<SyncRequest>& members,
-                     const RetryPolicy& retry, Rng& backoff_rng);
+                     const RetryPolicy& retry, LazyRng& backoff_rng);
 
   /// Joins every in-flight write (the caller's clock ends past the last
   /// completion). Call before shutdown so the overlap window accounts for
@@ -163,7 +164,7 @@ class FlushScheduler {
   /// Joins until fewer than `streams` writes are in flight (a staging
   /// buffer is free for the next read-back).
   void acquire_buffer();
-  Time backoff_delay(const RetryPolicy& retry, Rng& rng, int attempt);
+  Time backoff_delay(const RetryPolicy& retry, LazyRng& rng, int attempt);
 
   sim::Engine& engine_;
   lfs::LocalFs& local_fs_;

@@ -74,7 +74,7 @@ void SyncThread::enable_commit_journal(lfs::FileHandle commits_handle) {
 
 void SyncThread::start() {
   if (handle_.valid()) throw std::logic_error("SyncThread already started");
-  backoff_rng_ = std::make_unique<Rng>(Rng::derive(
+  backoff_rng_ = LazyRng(Rng::derive(
       Rng::derive(static_cast<std::uint64_t>(rank_), global_path_),
       "sync-backoff"));
   FlushSchedulerParams params = flush_params_;
@@ -366,7 +366,7 @@ void SyncThread::run() {
     span.arg("members", static_cast<Offset>(batch.size()));
 
     const BatchOutcome outcome =
-        scheduler_->drain(batch, retry_, *backoff_rng_);
+        scheduler_->drain(batch, retry_, backoff_rng_);
     span.arg("dispatches", static_cast<Offset>(outcome.dispatches));
     span.arg("bytes", outcome.bytes_written);
     if (outcome.retries > 0) span.arg("retries", outcome.retries);

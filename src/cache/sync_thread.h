@@ -183,7 +183,7 @@ class SyncThread {
   RetryPolicy retry_;
   FlushSchedulerParams flush_params_;
   std::unique_ptr<FlushScheduler> scheduler_;  // created at start()
-  std::unique_ptr<Rng> backoff_rng_;           // created at start()
+  LazyRng backoff_rng_{0};                     // seeded at start()
   /// A drained request that overlapped the gathering batch's coverage: it
   /// must dispatch after that batch (queue order resolves shadowing), so
   /// it waits here and seeds the next batch.

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string_view>
 
@@ -54,6 +55,24 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
+};
+
+/// An Rng built from its seed on the first draw. A component that may
+/// never draw (a sync thread whose writes never fail) then holds a seed,
+/// not the generator's 2.5 KiB of state, and skips its 312-word seeding;
+/// one that does draw gets exactly the Rng(seed) stream.
+class LazyRng {
+ public:
+  explicit LazyRng(std::uint64_t seed) : seed_(seed) {}
+
+  Rng& get() {
+    if (rng_ == nullptr) rng_ = std::make_unique<Rng>(seed_);
+    return *rng_;
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::unique_ptr<Rng> rng_;
 };
 
 }  // namespace e10

@@ -2,9 +2,11 @@
 // (Tables I and II of the paper) into MPI_File_open.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace e10::mpi {
@@ -17,10 +19,17 @@ class Info {
     entries_[std::move(key)] = std::move(value);
   }
 
-  std::optional<std::string> get(const std::string& key) const {
+  /// The value stored under `key`, or null. Builds no key string and
+  /// copies no value.
+  const std::string* find(std::string_view key) const {
     const auto it = entries_.find(key);
-    if (it == entries_.end()) return std::nullopt;
-    return it->second;
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+
+  std::optional<std::string> get(std::string_view key) const {
+    const std::string* value = find(key);
+    if (value == nullptr) return std::nullopt;
+    return *value;
   }
 
   std::string get_or(const std::string& key, std::string fallback) const {
@@ -49,7 +58,7 @@ class Info {
   friend bool operator==(const Info&, const Info&) = default;
 
  private:
-  std::map<std::string, std::string> entries_;
+  std::map<std::string, std::string, std::less<>> entries_;
 };
 
 }  // namespace e10::mpi

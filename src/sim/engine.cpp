@@ -1,7 +1,12 @@
 #include "sim/engine.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <sstream>
+#include <system_error>
 
 #include "common/log.h"
 #include "common/units.h"
@@ -13,10 +18,11 @@
 // makes the runtime consult the wrong stack bounds and report false
 // stack-buffer-overflow / stack-use-after-scope (google/sanitizers#189).
 // The __sanitizer fiber hooks announce every stack switch; without ASan
-// the wrappers below compile to nothing. Pooled stacks additionally need
-// an explicit unpoison on reuse: the previous occupant's frame redzones
-// stay poisoned after it exits, and the next fiber lays out different
-// frames over the same bytes.
+// the wrappers below compile to nothing. Stack slots additionally need an
+// explicit unpoison when handed out: a previous occupant's frame redzones
+// stay poisoned after it exits (in this engine or, once the slot's batch
+// is unmapped and its addresses mapped again, in an earlier one), and the
+// next fiber lays out different frames over the same bytes.
 #if defined(__SANITIZE_ADDRESS__)
 #define E10_ASAN_FIBERS 1
 #elif defined(__has_feature)
@@ -109,7 +115,7 @@ void fiber_switch_end(void* fake, const void** from_bottom,
                       std::size_t* from_size) {
   __sanitizer_finish_switch_fiber(fake, from_bottom, from_size);
 }
-/// Clears poison left behind by a previous occupant of a recycled stack.
+/// Clears poison a previous occupant left on a stack slot's usable range.
 void unpoison_stack(const void* bottom, std::size_t size) {
   __asan_unpoison_memory_region(bottom, size);
 }
@@ -122,9 +128,18 @@ void unpoison_stack(const void*, std::size_t) {}
 /// The engine whose fiber is currently being started (trampoline target).
 thread_local Engine* g_active_engine = nullptr;
 
-/// Written at the low end of every fiber stack; checked when the fiber
-/// finishes to catch stack overflows (fiber stacks have no guard page).
-constexpr std::uint64_t kStackCanary = 0xE10CAFEBABE5EEDULL;
+/// Stack slots mapped at once when no reserve_processes() call asked for
+/// more: 32 MiB of address space, none of it resident until touched.
+constexpr std::size_t kStackBatch = 64;
+
+[[noreturn]] void throw_stack_mapping_error(const char* call) {
+  throw std::system_error(
+      errno, std::generic_category(),
+      std::string("sim::Engine: ") + call +
+          " for fiber stacks failed; each live fiber holds two kernel "
+          "mappings (its stack and its guard page), so vm.max_map_count "
+          "(65530 by default) allows about half that many live fibers");
+}
 
 }  // namespace
 
@@ -151,7 +166,8 @@ bool ProcessHandle::finished() const {
   return engine_->proc(id_).state == Engine::Process::State::finished;
 }
 
-Engine::Engine() {
+Engine::Engine()
+    : guard_bytes_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {
   // Log lines emitted from inside simulated processes get a virtual-time +
   // process-name prefix. The hook is global and engine-agnostic: it reads
   // whichever engine is active on this thread at write time.
@@ -161,6 +177,9 @@ Engine::Engine() {
 Engine::~Engine() {
   cancel_all();
   if (g_active_engine == this) g_active_engine = nullptr;
+  for (const StackBatch& batch : stack_batches_) {
+    munmap(batch.base, batch.slots * kStackBytes);
+  }
 }
 
 bool Engine::log_context(std::int64_t& now_ns, std::string& name) {
@@ -187,38 +206,74 @@ Engine::Process& Engine::allocate_process() {
   return chunks_[slot >> kChunkShift][slot & kChunkMask];
 }
 
-std::unique_ptr<char[]> Engine::acquire_stack() {
+char* Engine::acquire_stack() {
+  char* slot = nullptr;
   if (!stack_pool_.empty()) {
-    std::unique_ptr<char[]> stack = std::move(stack_pool_.back());
+    slot = stack_pool_.back();
     stack_pool_.pop_back();
-    unpoison_stack(stack.get(), kStackBytes);
     ++stack_reuses_;
-    return stack;
+  } else {
+    if (fresh_slots_ == 0) map_stacks(kStackBatch);
+    while (stack_batches_[fresh_batch_].used ==
+           stack_batches_[fresh_batch_].slots) {
+      ++fresh_batch_;
+    }
+    StackBatch& batch = stack_batches_[fresh_batch_];
+    slot = batch.base + batch.used * kStackBytes;
+    ++batch.used;
+    --fresh_slots_;
   }
-  // Default-initialized (not zeroed) so pages are only touched when used.
-  return std::unique_ptr<char[]>(new char[kStackBytes]);
+  unpoison_stack(slot + guard_bytes_, stack_usable());
+  return slot;
 }
 
-void Engine::release_stack(std::unique_ptr<char[]> stack) {
-  if (stack != nullptr) stack_pool_.push_back(std::move(stack));
+void Engine::release_stack(Process& p) {
+  stack_pool_.push_back(p.stack);
+  p.stack = nullptr;
+}
+
+void Engine::map_stacks(std::size_t slots) {
+  stack_batches_.reserve(stack_batches_.size() + 1);  // no throw once mapped
+  const std::size_t bytes = slots * kStackBytes;
+  // MAP_NORESERVE: a slot costs address space, not commit charge, until
+  // its fiber touches it.
+  void* mapped = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mapped == MAP_FAILED) throw_stack_mapping_error("mmap");
+  char* base = static_cast<char*>(mapped);
+  // Each guard page splits the mapping, so every usable stack is a 508 KiB
+  // mapping of its own that transparent huge pages cannot back with 2 MiB
+  // pages; this also keeps smaller THP sizes from faulting in 64 KiB per
+  // stack. Failure (a kernel without THP) changes nothing else.
+  (void)madvise(base, bytes, MADV_NOHUGEPAGE);
+  for (std::size_t i = 0; i < slots; ++i) {
+    if (mprotect(base + i * kStackBytes, guard_bytes_, PROT_NONE) != 0) {
+      const int error = errno;
+      munmap(base, bytes);
+      errno = error;
+      throw_stack_mapping_error("mprotect");
+    }
+  }
+  stack_batches_.push_back(StackBatch{base, slots, 0});
+  fresh_slots_ += slots;
 }
 
 void Engine::reserve_processes(std::size_t n) {
+  const std::size_t ready_stacks = stack_pool_.size() + fresh_slots_;
+  if (n > ready_stacks) map_stacks(n - ready_stacks);
   chunks_.reserve((n + kChunkSize - 1) / kChunkSize);
   ready_.reserve(n);
   stack_pool_.reserve(n);
 }
 
 void Engine::prepare_fiber(Process& p) {
-  std::memcpy(p.stack.get(), &kStackCanary, sizeof(kStackCanary));
 #if E10_FAST_FIBERS
   // Forge the e10_ctx_swap frame (layout documented at the asm above) at
-  // the 16-byte-aligned top of the stack, so the first switch into this
-  // fiber "returns" into trampoline() with the stack aligned exactly as
-  // the psABI guarantees at function entry (rsp % 16 == 8).
-  auto top = reinterpret_cast<std::uintptr_t>(p.stack.get()) + kStackBytes;
-  top &= ~std::uintptr_t{15};
-  char* frame = reinterpret_cast<char*>(top - 72);
+  // the page-aligned top of the slot, so the first switch into this fiber
+  // "returns" into trampoline() with the stack aligned exactly as the
+  // psABI guarantees at function entry (rsp % 16 == 8), and the frame
+  // touches one page, not two.
+  char* frame = p.stack + kStackBytes - 72;
   std::memset(frame, 0, 72);
   std::uint32_t mxcsr = 0;
   std::uint16_t fcw = 0;
@@ -234,21 +289,23 @@ void Engine::prepare_fiber(Process& p) {
   if (getcontext(&p.context) != 0) {
     throw std::runtime_error("getcontext failed");
   }
-  p.context.uc_stack.ss_sp = p.stack.get();
-  p.context.uc_stack.ss_size = kStackBytes;
+  p.context.uc_stack.ss_sp = stack_bottom(p);
+  p.context.uc_stack.ss_size = stack_usable();
   p.context.uc_link = &engine_context_;
   makecontext(&p.context, &Engine::trampoline, 0);
 #endif
 }
 
 ProcessHandle Engine::spawn(std::string&& name, SmallFn body) {
+  // Stack first: a spawn that cannot map one leaves no process behind.
+  char* stack = acquire_stack();
   Process& p = allocate_process();
   p.name = std::move(name);
   p.id = process_count_ - 1;
   p.clock = current_ != nullptr ? current_->clock : sim_time_;
   p.body = std::move(body);
   p.state = Process::State::ready;
-  p.stack = acquire_stack();
+  p.stack = stack;
   prepare_fiber(p);
   ++live_;
   insert_ready(p);
@@ -271,7 +328,7 @@ void Engine::resume(Process& p) {
   ++switches_;
   g_active_engine = this;
   void* engine_fake_stack = nullptr;
-  fiber_switch_begin(&engine_fake_stack, p.stack.get(), kStackBytes);
+  fiber_switch_begin(&engine_fake_stack, stack_bottom(p), stack_usable());
 #if E10_FAST_FIBERS
   e10_ctx_swap(&engine_stack_pointer_, p.stack_pointer);
 #else
@@ -316,12 +373,6 @@ void Engine::trampoline() {
 
 void Engine::finish_current() {
   Process& p = *current_;
-  std::uint64_t canary = 0;
-  std::memcpy(&canary, p.stack.get(), sizeof(canary));
-  if (canary != kStackCanary) {
-    // The fiber ran off its stack; the process is in an undefined state.
-    std::abort();
-  }
   p.state = Process::State::finished;
   if (!p.cancelled) {
     if (causal_observer_ != nullptr) {
@@ -365,7 +416,7 @@ void Engine::run() {
     resume(*p);
     if (p->state == Process::State::finished) {
       --live_;
-      release_stack(std::move(p->stack));
+      release_stack(*p);
       if (p->error != nullptr) {
         error = p->error;
         p->error = nullptr;
@@ -489,7 +540,7 @@ void Engine::cancel_all() {
     if (p.state == Process::State::finished) continue;
     p.cancelled = true;
     resume(p);  // unwinds via ProcessCancelled, returns finished
-    release_stack(std::move(p.stack));
+    release_stack(p);
   }
   ready_.clear();
   live_ = 0;

@@ -15,7 +15,11 @@
 //     std::map-based scheduler,
 //   - processes: chunked arena with stable addresses, indexed O(1) by
 //     ProcessId,
-//   - fiber stacks: pooled and recycled across process lifetimes,
+//   - fiber stacks: 512 KiB slots of anonymous mappings made in batches
+//     (one per reserve_processes() call, so a World maps all its ranks at
+//     once), each slot's lowest page a PROT_NONE guard that faults on
+//     overflow, recycled across process lifetimes; a fiber keeps only the
+//     pages it has touched resident,
 //   - process bodies: SmallFn (sim/small_fn.h) with a 128-byte inline
 //     buffer instead of std::function,
 //   - context switch: a ~10-instruction userspace register swap on
@@ -132,7 +136,8 @@ class Engine {
   }
 
   /// Pre-sizes the process arena, ready queue, and stack pool for n
-  /// processes. Optional — everything grows on demand — but a World that
+  /// processes, and maps the fiber stacks the next n spawns need in one
+  /// batch. Optional — everything grows on demand — but a World that
   /// knows its rank count can avoid mid-run growth entirely.
   void reserve_processes(std::size_t n);
 
@@ -243,7 +248,8 @@ class Engine {
     return s;
   }
 
-  /// Fiber stack size; processes must stay within it.
+  /// Fiber stack slot size. The slot's lowest page is the guard, so a
+  /// process may use one page less; going past that faults (SIGSEGV).
   static constexpr std::size_t kStackBytes = 512 * 1024;
 
  private:
@@ -261,7 +267,9 @@ class Engine {
 #else
     ucontext_t context{};
 #endif
-    std::unique_ptr<char[]> stack;
+    /// Base of the process's stack slot (its guard page); null once the
+    /// slot is back in the pool.
+    char* stack = nullptr;
     bool cancelled = false;
     std::exception_ptr error;
     std::vector<ProcessId> joiners;
@@ -280,8 +288,21 @@ class Engine {
 
   Process& proc(ProcessId pid) const;
   Process& allocate_process();
-  std::unique_ptr<char[]> acquire_stack();
-  void release_stack(std::unique_ptr<char[]> stack);
+  /// One anonymous mapping of `slots` stack slots; the lowest `used`
+  /// have been handed out.
+  struct StackBatch {
+    char* base = nullptr;
+    std::size_t slots = 0;
+    std::size_t used = 0;
+  };
+
+  char* acquire_stack();
+  void release_stack(Process& p);
+  void map_stacks(std::size_t slots);
+  /// The usable range above a slot's guard page, which the ASan fiber
+  /// hooks and the ucontext fallback are given.
+  char* stack_bottom(const Process& p) const { return p.stack + guard_bytes_; }
+  std::size_t stack_usable() const { return kStackBytes - guard_bytes_; }
   void prepare_fiber(Process& p);  // arms the trampoline on a fresh stack
   void insert_ready(Process& p);
   void resume(Process& p);         // engine context -> fiber
@@ -295,8 +316,13 @@ class Engine {
   // Ready queue keyed by (virtual time, admission sequence); pops in the
   // exact order the original std::map iterated (ready_queue.h).
   ReadyQueue<Process*> ready_;
-  // Retired fiber stacks awaiting reuse by future spawns.
-  std::vector<std::unique_ptr<char[]>> stack_pool_;
+  // Fiber stack mappings, unmapped by ~Engine. Slots never handed out
+  // are taken in batch order; retired ones wait in the pool for reuse.
+  std::vector<StackBatch> stack_batches_;
+  std::size_t fresh_batch_ = 0;  // first batch with a never-used slot
+  std::size_t fresh_slots_ = 0;  // never-used slots over all batches
+  std::vector<char*> stack_pool_;
+  std::size_t guard_bytes_;      // one page
   std::uint64_t next_seq_ = 0;
   std::uint64_t switches_ = 0;
   std::uint64_t events_ = 0;

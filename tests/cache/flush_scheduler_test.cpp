@@ -184,7 +184,7 @@ Time drain_duration(int streams, Offset total, std::uint64_t* hidden = nullptr,
     std::vector<SyncRequest> batch = {request(0, total, 0)};
     RetryPolicy retry;
     retry.jitter = 0.0;
-    Rng rng(99);
+    LazyRng rng(99);
     const Time start = f.engine.now();
     const BatchOutcome outcome = sched.drain(batch, retry, rng);
     elapsed = f.engine.now() - start;
@@ -265,7 +265,7 @@ TEST(FlushScheduler_, DrainReportsMediaTimeAndJoinAllWaitsItOut) {
     std::vector<SyncRequest> batch = {request(0, 2 * MiB, 0)};
     RetryPolicy retry;
     retry.jitter = 0.0;
-    Rng rng(99);
+    LazyRng rng(99);
     const BatchOutcome outcome = sched.drain(batch, retry, rng);
     ASSERT_TRUE(outcome.status.is_ok());
     // Resume offsets advance at issue time (the writes' content is already
@@ -305,7 +305,7 @@ TEST(FlushScheduler_, ExhaustedAttemptsHandBackWithSyncedAdvanced) {
     retry.backoff_base = milliseconds(1);
     retry.backoff_cap = milliseconds(1);
     retry.jitter = 0.0;
-    Rng rng(99);
+    LazyRng rng(99);
     const BatchOutcome outcome = sched.drain(batch, retry, rng);
     EXPECT_FALSE(outcome.status.is_ok());
     EXPECT_EQ(outcome.status.code(), Errc::timed_out);

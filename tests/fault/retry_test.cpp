@@ -124,6 +124,31 @@ TEST(SyncRetry, BackoffScheduleIsDeterministic) {
   EXPECT_GT(a, run_with_forced_failures(0, nullptr));
 }
 
+TEST(SyncRetry, JitteredBackoffIsPinned) {
+  // The default policy stretches each backoff by up to 25% with draws from
+  // the thread's seeded generator. Three failed writes draw three delays,
+  // so the end time pins the draws: a generator seeded differently, or
+  // drawn from out of turn, moves it. Every other retry test turns jitter
+  // off. The value is what a build that seeded the generator at start()
+  // gives.
+  Fixture f;
+  f.pfs.set_fault_injector(&f.injector);
+  f.injector.force_failures(fault::FaultOp::pfs_write, 3, Errc::timed_out);
+  std::uint64_t retries = 0;
+  f.run([&] {
+    const auto handle = f.open_global();
+    auto cache = CacheFile::open(f.engine, f.local_fs, f.pfs, handle,
+                                 f.params(), &f.locks);
+    ASSERT_TRUE(cache.is_ok());
+    ASSERT_TRUE(cache.value()->write({0, 512 * KiB}, pattern(512 * KiB)));
+    ASSERT_TRUE(cache.value()->flush());
+    retries = cache.value()->sync_stats().retries;
+    ASSERT_TRUE(cache.value()->close());
+  });
+  EXPECT_EQ(retries, 3u);
+  EXPECT_EQ(f.engine.now(), 20109171);
+}
+
 TEST(SyncRetry, ExhaustedRequestIsRequeuedThenAbandoned) {
   Fixture f;
   f.pfs.set_fault_injector(&f.injector);

@@ -1,7 +1,13 @@
 #include "sim/engine.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 
+#include <csignal>
+#include <cstdlib>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/units.h"
@@ -289,6 +295,123 @@ TEST(Engine, StopAfterNaturalCompletionIsNotStopped) {
   eng.spawn("q", [&] { eng.delay(milliseconds(1)); });
   eng.run();
   EXPECT_FALSE(eng.stopped());
+}
+
+// Recurses through `depth` 1 KiB frames that the compiler must keep, each
+// written at its lowest byte, so the recursion touches every page it spans.
+__attribute__((noinline)) int deep_frames(int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) return frame[0];
+  return deep_frames(depth - 1) + frame[0];
+}
+
+// Spawns a fiber that recurses through 1 MiB of stack, twice what a slot
+// holds, followed by two idle fibers. If the overflow ran on through
+// mapped memory unnoticed, the fiber would get back and exit 0.
+void spawn_overflow(Engine& engine) {
+  const rlimit no_core{0, 0};
+  setrlimit(RLIMIT_CORE, &no_core);  // the death is expected; keep no core
+  engine.spawn("overflow", [] {
+    (void)deep_frames(1024);
+    std::_Exit(0);
+  });
+  for (int i = 0; i < 2; ++i) {
+    engine.spawn("idle", [&engine] { engine.delay(1); });
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define E10_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define E10_TEST_ASAN 1
+#endif
+#endif
+
+TEST(Engine, StackOverflowFaultsOnTheGuardPage) {
+  // The lowest page of every stack slot is PROT_NONE, so running off a
+  // fiber's stack faults at the first access below it instead of writing
+  // over whatever lies there. ASan reports the fault itself and exits
+  // non-zero.
+#ifdef E10_TEST_ASAN
+  const auto died = [](int status) {
+    return !WIFEXITED(status) || WEXITSTATUS(status) != 0;
+  };
+#else
+  const auto died = ::testing::KilledBySignal(SIGSEGV);
+#endif
+  EXPECT_EXIT(
+      {
+        // Other fibers' stacks lie on both sides of the overflowing one.
+        Engine engine;
+        for (int i = 0; i < 2; ++i) {
+          engine.spawn("idle", [&engine] { engine.delay(1); });
+        }
+        spawn_overflow(engine);
+        engine.run();
+      },
+      died, "");
+  // A recycled slot keeps its guard page.
+  EXPECT_EXIT(
+      {
+        Engine engine;
+        engine.spawn("first", [&engine] { engine.delay(1); });
+        engine.run();
+        spawn_overflow(engine);
+        if (engine.stats().stack_reuses != 1) std::_Exit(0);  // not recycled
+        engine.run();
+      },
+      died, "");
+}
+
+TEST(Engine, StackMappingFailureNamesTheLimit) {
+  // 2^30 slots are 512 TiB of address space, more than an x86-64 or arm64
+  // process has, so the mapping fails; the error names the kernel limit
+  // that caps live fibers in practice, and the engine stays usable.
+  Engine engine;
+  try {
+    engine.reserve_processes(std::size_t{1} << 30);
+    ADD_FAILURE() << "mapped 512 TiB of fiber stacks";
+  } catch (const std::system_error& e) {
+    EXPECT_NE(std::string(e.what()).find("vm.max_map_count"),
+              std::string::npos)
+        << e.what();
+  }
+  bool ran = false;
+  engine.spawn("after", [&ran] { ran = true; });
+  engine.run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(Engine, StackReusesCountPoolHitsOnly) {
+  // Fresh slots come from reserve_processes' batches and from default-size
+  // ones, in any mix; only a retired slot handed out again is a reuse, and
+  // no two live fibers ever share a slot.
+  Engine engine;
+  int intact = 0;
+  const auto spawn_checked = [&](int id) {
+    engine.spawn("p" + std::to_string(id), [&engine, &intact, id] {
+      volatile int mark[256];
+      for (volatile int& m : mark) m = id;
+      engine.delay(1);  // every other live fiber runs before this resumes
+      bool same = true;
+      for (const volatile int& m : mark) same = same && m == id;
+      if (same) ++intact;
+    });
+  };
+  engine.reserve_processes(2);
+  for (int i = 0; i < 3; ++i) spawn_checked(i);
+  engine.reserve_processes(100);  // maps only what the free slots lack
+  engine.run();
+  EXPECT_EQ(engine.stats().stack_reuses, 0u);
+  for (int i = 0; i < 100; ++i) spawn_checked(100 + i);
+  engine.run();
+  EXPECT_EQ(engine.stats().stack_reuses, 3u);
+  for (int i = 0; i < 200; ++i) spawn_checked(200 + i);
+  engine.run();
+  EXPECT_EQ(engine.stats().stack_reuses, 103u);
+  EXPECT_EQ(intact, 303);
 }
 
 }  // namespace
