@@ -16,7 +16,6 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "common/thread_safety.h"
 #include "sim/async.h"
 #include "sim/concurrency.h"
+#include "sim/fifo.h"
 
 namespace e10::adio {
 
@@ -135,7 +135,7 @@ class WritePipeline {
 
   AdioFile& fd_;
   bool enabled_ = false;
-  std::deque<InFlightRound> in_flight_ E10_TRACKED_BY(state_var_);
+  sim::Fifo<InFlightRound> in_flight_ E10_TRACKED_BY(state_var_);
   sim::OverlapAccumulator overlap_ E10_TRACKED_BY(state_var_);
   /// Pipeline bookkeeping is single-owner state of the issuing rank; the
   /// checker verifies nothing else ever touches it.

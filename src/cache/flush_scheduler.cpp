@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 
@@ -9,69 +10,68 @@ namespace e10::cache {
 
 namespace {
 
-/// A member's remaining work, flattened for planning.
-struct Segment {
-  std::size_t member = 0;
-  Extent global;
-  Offset cache_offset = 0;
-};
+/// Advances `member`'s resume offset past `piece`, just issued durably.
+/// Fills go out in ascending global order and each member's remaining
+/// extent is one run from its resume point, so a member's issued bytes
+/// always form one run from its front: every piece must start exactly
+/// there. One that does not would leave a hole that `synced` cannot
+/// express, so a reordered drain fails here instead of losing bytes.
+void advance_front(SyncRequest& member, const Extent& piece) {
+  if (piece.offset != member.global.offset + member.synced) {
+    throw std::logic_error("FlushScheduler: piece @" +
+                           std::to_string(piece.offset) +
+                           " is not at its member's resume point @" +
+                           std::to_string(member.global.offset +
+                                          member.synced));
+  }
+  member.synced += piece.length;
+}
 
 }  // namespace
 
-std::vector<Dispatch> plan_dispatches(const std::vector<SyncRequest>& members,
-                                      Offset staging_bytes,
-                                      Offset stripe_unit) {
-  std::vector<Segment> segments;
-  segments.reserve(members.size());
+DispatchCursor::DispatchCursor(const std::vector<SyncRequest>& members,
+                               Offset staging_bytes, Offset stripe_unit)
+    : staging_bytes_(staging_bytes), stripe_unit_(stripe_unit) {
+  segments_.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     const Extent rem = members[i].remaining();
     if (rem.empty()) continue;
-    segments.push_back(
+    segments_.push_back(
         Segment{i, rem, members[i].cache_offset + members[i].synced});
   }
-  std::sort(segments.begin(), segments.end(),
+  std::sort(segments_.begin(), segments_.end(),
             [](const Segment& a, const Segment& b) {
               return a.global.offset < b.global.offset;
             });
+  if (!segments_.empty()) pos_ = segments_.front().global.offset;
+}
 
-  std::vector<Dispatch> plan;
-  Dispatch cur;
-  bool open = false;
-  const auto close = [&] {
-    if (open) plan.push_back(std::move(cur));
-    cur = Dispatch{};
-    open = false;
-  };
-  for (const Segment& seg : segments) {
-    Offset pos = seg.global.offset;
-    while (pos < seg.global.end()) {
-      // A gap between coalesced runs ends the dispatch: dispatches are
-      // contiguous in the global file.
-      if (open && cur.global.end() != pos) close();
-      if (!open) {
-        cur.global = Extent{pos, 0};
-        open = true;
-      }
-      // One dispatch is one staging-buffer fill, and (with alignment on)
-      // never crosses a stripe boundary — so no flush write spans two data
-      // servers.
-      Offset limit = cur.global.offset + staging_bytes;
-      if (stripe_unit > 0) {
-        const Offset next_stripe =
-            (cur.global.offset / stripe_unit + 1) * stripe_unit;
-        limit = std::min(limit, next_stripe);
-      }
-      const Offset take = std::min(seg.global.end(), limit) - pos;
-      cur.pieces.push_back(DispatchPiece{
-          seg.member, seg.cache_offset + (pos - seg.global.offset),
-          Extent{pos, take}});
-      cur.global.length += take;
-      pos += take;
-      if (cur.global.end() >= limit) close();
+bool DispatchCursor::next(Dispatch& out) {
+  out.pieces.clear();
+  if (segment_ == segments_.size()) return false;
+  out.global = Extent{pos_, 0};
+  // One fill is one staging buffer, and (with alignment on) never crosses
+  // a stripe boundary — so no flush write spans two data servers.
+  Offset limit = pos_ + staging_bytes_;
+  if (stripe_unit_ > 0) {
+    limit = std::min(limit, (pos_ / stripe_unit_ + 1) * stripe_unit_);
+  }
+  // A gap between coalesced runs ends the fill: fills are contiguous in
+  // the global file.
+  while (segment_ < segments_.size() && pos_ == out.global.end() &&
+         pos_ < limit) {
+    const Segment& seg = segments_[segment_];
+    const Offset take = std::min(seg.global.end(), limit) - pos_;
+    out.pieces.push_back(DispatchPiece{
+        seg.member, seg.cache_offset + (pos_ - seg.global.offset),
+        Extent{pos_, take}});
+    out.global.length += take;
+    pos_ += take;
+    if (pos_ == seg.global.end() && ++segment_ < segments_.size()) {
+      pos_ = segments_[segment_].global.offset;
     }
   }
-  close();
-  return plan;
+  return true;
 }
 
 FlushScheduler::FlushScheduler(sim::Engine& engine, lfs::LocalFs& local_fs,
@@ -147,39 +147,22 @@ BatchOutcome FlushScheduler::drain(std::vector<SyncRequest>& members,
   E10_SHARED_WRITE(state_var_);
   ++stats_.batches;
   stats_.members += members.size();
-  const std::vector<Dispatch> plan =
-      plan_dispatches(members, params_.staging_bytes, params_.stripe_unit);
-
-  // Bytes issued durably per member, folded into the `synced` resume
-  // offsets on every exit path. Tracking extents (rather than bumping a
-  // front pointer at issue time) keeps the accounting correct for any
-  // dispatch order: the front only advances over bytes actually issued.
-  std::vector<ExtentList> issued_bytes(members.size());
-  const auto account_synced = [&] {
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      if (issued_bytes[m].size() == 0) continue;
-      issued_bytes[m].coalesce();
-      SyncRequest& member = members[m];
-      for (std::size_t e = 0; e < issued_bytes[m].size(); ++e) {
-        const Extent& ext = issued_bytes[m][e];
-        const Offset front = member.global.offset + member.synced;
-        if (ext.offset <= front && ext.end() > front) {
-          member.synced = ext.end() - member.global.offset;
-        }
-      }
-    }
-  };
+  // One staging fill is planned at a time, into storage reused across
+  // the batch: the drain holds one fill, as the serial drain held one
+  // staging buffer.
+  DispatchCursor cursor(members, params_.staging_bytes, params_.stripe_unit);
+  Dispatch dispatch;
+  std::vector<DataView> parts;
 
   int attempts = 0;
-  for (const Dispatch& dispatch : plan) {
+  while (cursor.next(dispatch)) {
     for (;;) {
       // A staging buffer must be free before the read-back can fill it:
       // with every stream busy, join the oldest in-flight write first.
       // (streams=1 therefore issues in the serial read→write→read order.)
       acquire_buffer();
       Status failure = Status::ok();
-      std::vector<DataView> parts;
-      parts.reserve(dispatch.pieces.size());
+      parts.clear();
       for (const DispatchPiece& piece : dispatch.pieces) {
         auto data = local_fs_.read(cache_handle_, piece.cache_offset,
                                    piece.global.length);
@@ -203,11 +186,10 @@ BatchOutcome FlushScheduler::drain(std::vector<SyncRequest>& members,
           ++stats_.dispatches;
           ++outcome.dispatches;
           outcome.bytes_written += dispatch.global.length;
-          // The write will reach the media: record the bytes so the
-          // members' resume offsets advance and a later requeue never
-          // re-sends them.
+          // The write will reach the media: advance the members' resume
+          // offsets so a later requeue never re-sends these bytes.
           for (const DispatchPiece& piece : dispatch.pieces) {
-            issued_bytes[piece.member].add(piece.global);
+            advance_front(members[piece.member], piece.global);
           }
           break;
         }
@@ -218,7 +200,6 @@ BatchOutcome FlushScheduler::drain(std::vector<SyncRequest>& members,
         // are durable and accounted) and hand the remains to the caller's
         // requeue/abandon ladder.
         join_all();
-        account_synced();
         outcome.status = failure;
         outcome.retries = attempts;
         outcome.done_time = engine_.now();
@@ -230,17 +211,17 @@ BatchOutcome FlushScheduler::drain(std::vector<SyncRequest>& members,
                 attempts, " failed (", failure.to_string(), "), backing off ",
                 format_time(wait));
       engine_.delay(wait);
-      // Loop re-stages the dispatch from the cache, as the serial drain
-      // re-read a failed staging chunk.
+      // Loop re-stages the same fill from the cache, as the serial drain
+      // re-read a failed staging chunk; the cursor moves on only once it
+      // is issued.
     }
   }
-  // Every dispatch issued: the content is determined and the writes will
-  // reach the media by `done_time`, so the resume offsets may advance now.
-  // The last writes stay in flight — joining them here would stall the
-  // thread for a full queue latency per batch; later drains join them as
-  // buffers recycle, and the sync thread waits for `done_time` only right
-  // before it promises durability to the members' waiters.
-  account_synced();
+  // Every fill issued: the content is determined and the writes will
+  // reach the media by `done_time`. The last writes stay in flight —
+  // joining them here would stall the thread for a full queue latency per
+  // batch; later drains join them as buffers recycle, and the sync thread
+  // waits for `done_time` only right before it promises durability to the
+  // members' waiters.
   if (outcome.done_time == 0) outcome.done_time = engine_.now();
   outcome.retries = attempts;
   return outcome;

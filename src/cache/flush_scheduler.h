@@ -81,14 +81,36 @@ struct Dispatch {
   std::vector<DispatchPiece> pieces;
 };
 
-/// Pure planning step, exposed for tests: the members' *remaining* extents
-/// ([offset + synced, end), resuming past already-durable bytes) are
-/// coalesced into contiguous runs and split at staging-capacity and stripe
-/// boundaries. Members must be mutually non-overlapping (the batch gatherer
-/// guarantees this); dispatches come out in global-file order.
-std::vector<Dispatch> plan_dispatches(const std::vector<SyncRequest>& members,
-                                      Offset staging_bytes,
-                                      Offset stripe_unit);
+/// The planning step, one staging fill at a time: the members' *remaining*
+/// extents ([offset + synced, end), resuming past already-durable bytes)
+/// are coalesced into contiguous runs and split at staging-capacity and
+/// stripe boundaries. Members must be mutually non-overlapping (the batch
+/// gatherer guarantees this); fills come out in global-file order. The
+/// remaining extents are read at construction, so the caller may advance
+/// the members' `synced` offsets as it issues fills.
+class DispatchCursor {
+ public:
+  DispatchCursor(const std::vector<SyncRequest>& members,
+                 Offset staging_bytes, Offset stripe_unit);
+
+  /// Refills `out` (reusing its storage) with the next staging fill;
+  /// false once the batch is exhausted.
+  bool next(Dispatch& out);
+
+ private:
+  /// A member's remaining work, flattened for planning.
+  struct Segment {
+    std::size_t member = 0;
+    Extent global;
+    Offset cache_offset = 0;
+  };
+
+  std::vector<Segment> segments_;  // sorted by global offset
+  std::size_t segment_ = 0;        // first segment with bytes left
+  Offset pos_ = 0;                 // next unplanned global offset in it
+  Offset staging_bytes_ = 0;
+  Offset stripe_unit_ = 0;
+};
 
 /// What one batch drain did; the sync thread folds this into SyncStats and
 /// drives the requeue/abandon ladder from `status`.
@@ -127,13 +149,14 @@ class FlushScheduler {
   FlushScheduler(const FlushScheduler&) = delete;
   FlushScheduler& operator=(const FlushScheduler&) = delete;
 
-  /// Drains one batch: plans the dispatches, stages each through a free
-  /// stream buffer (joining the oldest in-flight write when all buffers
-  /// are busy), and issues it durably. On success up to `streams` writes
-  /// are still in flight at return — the caller defers the members'
-  /// completion until the clock passes `BatchOutcome::done_time` instead
-  /// of stalling here on a join-all tail after every batch; in-flight
-  /// writes carry over and are joined by later drains as buffers recycle.
+  /// Drains one batch: walks a DispatchCursor over it, stages each fill
+  /// through a free stream buffer (joining the oldest in-flight write when
+  /// all buffers are busy), and issues it durably. On success up to
+  /// `streams` writes are still in flight at return — the caller defers
+  /// the members' completion until the clock passes
+  /// `BatchOutcome::done_time` instead of stalling here on a join-all tail
+  /// after every batch; in-flight writes carry over and are joined by
+  /// later drains as buffers recycle.
   /// Retryable failures back off with the policy (delays drawn from
   /// `backoff_rng`, built at the first draw) and retry in place; on
   /// exhaustion everything in flight is joined and the remaining work is

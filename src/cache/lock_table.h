@@ -15,7 +15,6 @@
 // deadlock reports.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "sim/causal.h"
 #include "sim/concurrency.h"
 #include "sim/engine.h"
+#include "sim/fifo.h"
 
 namespace e10::cache {
 
@@ -57,7 +57,7 @@ class LockTable {
  private:
   struct FileLocks {
     std::vector<Extent> held;
-    std::deque<sim::ProcessId> waiters;
+    sim::Fifo<sim::ProcessId> waiters;
     /// Causal emission of the latest release that woke waiters (0 = none).
     sim::CausalToken last_release = 0;
   };

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,6 +44,7 @@
 #include "pfs/pfs.h"
 #include "sim/concurrency.h"
 #include "sim/engine.h"
+#include "sim/fifo.h"
 #include "sim/mailbox.h"
 #include "sim/sync.h"
 
@@ -189,7 +189,7 @@ class SyncThread {
   /// it waits here and seeds the next batch.
   std::optional<SyncRequest> pending_;
   /// Successfully drained batches awaiting their writes' media time.
-  std::deque<DeferredBatch> deferred_;
+  sim::Fifo<DeferredBatch> deferred_;
   bool shutdown_seen_ = false;  // sentinel drained while gathering
   bool cancelled_ = false;      // set by cancel_drain_and_join()
   bool commit_journal_ = false;

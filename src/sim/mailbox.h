@@ -6,12 +6,12 @@
 // the receiver's clock to max(now, available_at).
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "common/units.h"
 #include "sim/engine.h"
+#include "sim/fifo.h"
 
 namespace e10::sim {
 
@@ -65,8 +65,8 @@ class Mailbox {
     Time available_at;
   };
   Engine& engine_;
-  std::deque<Entry> queue_;
-  std::deque<ProcessId> waiters_;
+  Fifo<Entry> queue_;
+  Fifo<ProcessId> waiters_;
 };
 
 }  // namespace e10::sim

@@ -9,13 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/thread_safety.h"
 #include "common/units.h"
 #include "sim/engine.h"
+#include "sim/fifo.h"
 
 namespace e10::sim {
 
@@ -37,7 +37,7 @@ class E10_CAPABILITY("mutex") SimMutex {
   Engine& engine_;
   std::string name_;
   bool locked_ = false;
-  std::deque<ProcessId> waiters_;
+  Fifo<ProcessId> waiters_;
 };
 
 /// RAII lock for SimMutex.
@@ -68,7 +68,7 @@ class SimCondVar {
 
  private:
   Engine& engine_;
-  std::deque<ProcessId> waiters_;
+  Fifo<ProcessId> waiters_;
 };
 
 /// Counting semaphore; FIFO grants.
@@ -86,7 +86,7 @@ class SimSemaphore {
  private:
   Engine& engine_;
   std::int64_t count_;
-  std::deque<ProcessId> waiters_;
+  Fifo<ProcessId> waiters_;
 };
 
 /// One-shot completion event carrying a completion time. A completer may set

@@ -1,5 +1,6 @@
 // Flush-scheduler planning (coalescing, stripe alignment, synced resume)
-// and drain behaviour (streaming overlap, serial baseline, retry handoff).
+// and drain behaviour (streaming overlap, serial baseline, retry handoff,
+// resume points across a requeue).
 #include "cache/flush_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -28,14 +29,24 @@ SyncRequest request(Offset global_offset, Offset length, Offset cache_offset,
   return r;
 }
 
-// ---- plan_dispatches: the pure planning step ------------------------------
+// Every staging fill a cursor yields over `members`, in order.
+std::vector<Dispatch> collect_fills(const std::vector<SyncRequest>& members,
+                                    Offset staging_bytes, Offset stripe_unit) {
+  DispatchCursor cursor(members, staging_bytes, stripe_unit);
+  std::vector<Dispatch> fills;
+  Dispatch fill;
+  while (cursor.next(fill)) fills.push_back(fill);
+  return fills;
+}
+
+// ---- DispatchCursor: the pure planning step -------------------------------
 
 TEST(FlushPlan, AdjacentMembersCoalesceIntoOneDispatch) {
   const std::vector<SyncRequest> members = {
       request(0, 128 * KiB, 0),
       request(128 * KiB, 128 * KiB, 128 * KiB),
   };
-  const auto plan = plan_dispatches(members, 512 * KiB, /*stripe_unit=*/0);
+  const auto plan = collect_fills(members, 512 * KiB, /*stripe_unit=*/0);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].global, (Extent{0, 256 * KiB}));
   ASSERT_EQ(plan[0].pieces.size(), 2u);
@@ -50,7 +61,7 @@ TEST(FlushPlan, QueueOrderDoesNotMatterOnlyFileOrderDoes) {
       request(128 * KiB, 128 * KiB, 0),
       request(0, 128 * KiB, 128 * KiB),
   };
-  const auto plan = plan_dispatches(members, 512 * KiB, 0);
+  const auto plan = collect_fills(members, 512 * KiB, 0);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].global, (Extent{0, 256 * KiB}));
   EXPECT_EQ(plan[0].pieces[0].member, 1u);  // the one at file offset 0
@@ -61,7 +72,7 @@ TEST(FlushPlan, GapsSplitDispatches) {
       request(0, 64 * KiB, 0),
       request(128 * KiB, 64 * KiB, 64 * KiB),
   };
-  const auto plan = plan_dispatches(members, 512 * KiB, 0);
+  const auto plan = collect_fills(members, 512 * KiB, 0);
   ASSERT_EQ(plan.size(), 2u);
   EXPECT_EQ(plan[0].global, (Extent{0, 64 * KiB}));
   EXPECT_EQ(plan[1].global, (Extent{128 * KiB, 64 * KiB}));
@@ -69,7 +80,7 @@ TEST(FlushPlan, GapsSplitDispatches) {
 
 TEST(FlushPlan, StagingCapacityBoundsADispatch) {
   const std::vector<SyncRequest> members = {request(0, 1280 * KiB, 0)};
-  const auto plan = plan_dispatches(members, 512 * KiB, 0);
+  const auto plan = collect_fills(members, 512 * KiB, 0);
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_EQ(plan[0].global, (Extent{0, 512 * KiB}));
   EXPECT_EQ(plan[1].global, (Extent{512 * KiB, 512 * KiB}));
@@ -81,7 +92,7 @@ TEST(FlushPlan, DispatchesNeverCrossAStripeBoundary) {
   // split the run at every boundary, starting from an unaligned offset.
   const std::vector<SyncRequest> members = {
       request(768 * KiB, 1536 * KiB, 0)};
-  const auto plan = plan_dispatches(members, 4 * MiB, 1 * MiB);
+  const auto plan = collect_fills(members, 4 * MiB, 1 * MiB);
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_EQ(plan[0].global, (Extent{768 * KiB, 256 * KiB}));
   EXPECT_EQ(plan[1].global, (Extent{1024 * KiB, 1024 * KiB}));
@@ -100,7 +111,7 @@ TEST(FlushPlan, ExtentsMeetingAtAStripeBoundaryStaySplit) {
       request(512 * KiB, 512 * KiB, 0),
       request(1 * MiB, 512 * KiB, 512 * KiB),
   };
-  const auto plan = plan_dispatches(members, 4 * MiB, 1 * MiB);
+  const auto plan = collect_fills(members, 4 * MiB, 1 * MiB);
   ASSERT_EQ(plan.size(), 2u);
   EXPECT_EQ(plan[0].global, (Extent{512 * KiB, 512 * KiB}));
   EXPECT_EQ(plan[1].global, (Extent{1 * MiB, 512 * KiB}));
@@ -113,7 +124,7 @@ TEST(FlushPlan, SyncedPrefixIsNotReplanned) {
   // the remaining extent and the matching cache position.
   const std::vector<SyncRequest> members = {
       request(0, 512 * KiB, 1 * MiB, /*synced=*/256 * KiB)};
-  const auto plan = plan_dispatches(members, 512 * KiB, 0);
+  const auto plan = collect_fills(members, 512 * KiB, 0);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].global, (Extent{256 * KiB, 256 * KiB}));
   ASSERT_EQ(plan[0].pieces.size(), 1u);
@@ -123,7 +134,7 @@ TEST(FlushPlan, SyncedPrefixIsNotReplanned) {
 TEST(FlushPlan, FullySyncedMembersProduceNoWork) {
   const std::vector<SyncRequest> members = {
       request(0, 128 * KiB, 0, /*synced=*/128 * KiB)};
-  EXPECT_TRUE(plan_dispatches(members, 512 * KiB, 0).empty());
+  EXPECT_TRUE(collect_fills(members, 512 * KiB, 0).empty());
 }
 
 // ---- FlushScheduler::drain: simulated end-to-end --------------------------
@@ -313,6 +324,117 @@ TEST(FlushScheduler_, ExhaustedAttemptsHandBackWithSyncedAdvanced) {
     EXPECT_EQ(outcome.bytes_written, 512 * KiB);
     EXPECT_EQ(batch[0].synced, 512 * KiB);
     EXPECT_EQ(batch[0].remaining(), (Extent{1024 * KiB, 512 * KiB}));
+  });
+}
+
+// The cache in these fixtures holds synthetic seed-7 bytes from offset 0:
+// the global file must hold a member's cached bytes at its extent.
+void expect_global_holds(const Fixture& f, const SyncRequest& member) {
+  const ByteStore* global = f.pfs.peek("/pfs/global");
+  ASSERT_NE(global, nullptr);
+  EXPECT_EQ(
+      global->read(member.global.offset, member.global.length).materialize(),
+      DataView::synthetic(7, member.cache_offset, member.global.length)
+          .materialize())
+      << "member @" << member.global.offset;
+}
+
+TEST(FlushScheduler_, StreamedFillsCoverGapsStripesAndLongMembers) {
+  Fixture f;
+  f.run([&] {
+    pfs::OpenOptions opts;
+    opts.create = true;
+    const auto global = f.pfs.open("/pfs/global", 0, opts).value();
+    const auto cache =
+        f.local_fs.open("/scratch/c0", /*create=*/true).value();
+    ASSERT_TRUE(
+        f.local_fs.write(cache, 0, DataView::synthetic(7, 0, 1920 * KiB)));
+    FlushSchedulerParams params;
+    params.streams = 2;
+    params.staging_bytes = 512 * KiB;
+    params.stripe_unit = 1 * MiB;
+    FlushScheduler sched(f.engine, f.local_fs, cache, f.pfs, global,
+                         "/pfs/global", params);
+    // Queue order is not file order. [768K, 2M) spans three fills: a
+    // stripe split at 1 MiB, then two full staging buffers. [2M, 2.5M)
+    // is two members in one fill, and a gap ends it before [3.5M, +128K).
+    std::vector<SyncRequest> batch = {
+        request(2304 * KiB, 256 * KiB, 1536 * KiB),
+        request(768 * KiB, 1280 * KiB, 0),
+        request(3584 * KiB, 128 * KiB, 1792 * KiB),
+        request(2048 * KiB, 256 * KiB, 1280 * KiB),
+    };
+    RetryPolicy retry;
+    retry.jitter = 0.0;
+    LazyRng rng(99);
+    const BatchOutcome outcome = sched.drain(batch, retry, rng);
+    sched.join_all();
+    ASSERT_TRUE(outcome.status.is_ok());
+    EXPECT_EQ(outcome.dispatches, 5u);
+    EXPECT_EQ(outcome.bytes_written, 1920 * KiB);
+    for (const SyncRequest& member : batch) {
+      EXPECT_EQ(member.synced, member.global.length);
+      expect_global_holds(f, member);
+    }
+    const ByteStore* stored = f.pfs.peek("/pfs/global");
+    EXPECT_EQ(stored->extent_end(), 3712 * KiB);
+    EXPECT_EQ(stored->byte_at(3 * MiB), std::byte{0});  // the gap
+  });
+}
+
+TEST(FlushScheduler_, RequeueResumesAtEachMembersFront) {
+  Fixture f;
+  f.pfs.set_fault_injector(&f.injector);
+  f.run([&] {
+    pfs::OpenOptions opts;
+    opts.create = true;
+    const auto global = f.pfs.open("/pfs/global", 0, opts).value();
+    const auto cache =
+        f.local_fs.open("/scratch/c0", /*create=*/true).value();
+    ASSERT_TRUE(
+        f.local_fs.write(cache, 0, DataView::synthetic(7, 0, 1536 * KiB)));
+    FlushSchedulerParams params;
+    params.streams = 4;
+    params.staging_bytes = 512 * KiB;
+    FlushScheduler sched(f.engine, f.local_fs, cache, f.pfs, global,
+                         "/pfs/global", params);
+    // One run of three fills: [0, 512K) is the member at 0, [512K, 1M)
+    // the first half of the member at 512K, and [1M, 1.5M) its second
+    // half with all of the member at 1.25M. The third durable write fails
+    // past its retry budget.
+    f.injector.force_failures(fault::FaultOp::pfs_write, 3, Errc::timed_out,
+                              /*after=*/2);
+    std::vector<SyncRequest> batch = {
+        request(1280 * KiB, 256 * KiB, 1280 * KiB),
+        request(0, 512 * KiB, 0),
+        request(512 * KiB, 768 * KiB, 512 * KiB),
+    };
+    RetryPolicy retry;
+    retry.max_attempts = 2;
+    retry.backoff_base = milliseconds(1);
+    retry.backoff_cap = milliseconds(1);
+    retry.jitter = 0.0;
+    LazyRng rng(99);
+    const BatchOutcome failed = sched.drain(batch, retry, rng);
+    EXPECT_EQ(failed.status.code(), Errc::timed_out);
+    EXPECT_EQ(failed.dispatches, 2u);
+    // Pinned to the resume offsets the extent-list accounting gave.
+    EXPECT_EQ(batch[0].synced, 0);
+    EXPECT_EQ(batch[1].synced, 512 * KiB);
+    EXPECT_EQ(batch[2].synced, 512 * KiB);
+
+    // The requeue drains the same members again, now fault-free: only the
+    // bytes past each front go out, in one fill.
+    const BatchOutcome requeued = sched.drain(batch, retry, rng);
+    sched.join_all();
+    ASSERT_TRUE(requeued.status.is_ok());
+    EXPECT_EQ(requeued.dispatches, 1u);
+    EXPECT_EQ(requeued.bytes_written, 512 * KiB);
+    EXPECT_EQ(f.pfs.stats().bytes_written, 1536 * KiB);
+    for (const SyncRequest& member : batch) {
+      EXPECT_EQ(member.synced, member.global.length);
+      expect_global_holds(f, member);
+    }
   });
 }
 
