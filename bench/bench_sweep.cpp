@@ -48,7 +48,7 @@
 //   --summary=PATH         comparison document in the results/BENCH_*.json
 //                          shape; --recorded=DATE stamps it
 //   --faults=SPEC          arm a FaultPlan on every run, e.g.
-//                          "pfs_write=0.01/timed_out; outage=1@2s-4s; seed=7"
+//                          "pfs_write=2%/timed_out; outage=1@1s-2s; seed=7"
 //   --check-concurrency    attach the concurrency checker to every run
 //                          (docs/static_analysis.md)
 //   --pipeline=on|off      double-buffered round loop (default on)
@@ -56,12 +56,14 @@
 //   --coalesce=on|off      coalesce adjacent sync requests (default on)
 //   --two-level=on|off     two-level exchange (default off)
 //
-// Exit status: 0; 1 when a variant pair wrote different bytes, the
-// concurrency checker found anything or an output file could not be
-// written; 2 on a usage error, including a filter that selects no point.
+// Exit status: 0; 1 when a run failed, a variant pair wrote different
+// bytes, the concurrency checker found anything or an output file could
+// not be written; 2 on a usage error, including a filter that selects no
+// point.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -988,7 +990,14 @@ int main(int argc, char** argv) {
         run.spec.two_level = run.spec.two_level || variant.two_level;
       }
       const auto t0 = std::chrono::steady_clock::now();
-      run.result = workloads::run_experiment(run.spec, factory);
+      try {
+        run.result = workloads::run_experiment(run.spec, factory);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "FAIL: %s point %s case %s: %s\n", row->name,
+                     workloads::combo_label(run.spec).c_str(),
+                     workloads::to_string(run.spec.cache_case), e.what());
+        return 1;
+      }
       run.host_s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();

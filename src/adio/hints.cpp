@@ -1,12 +1,22 @@
 #include "adio/hints.h"
 
+#include <algorithm>
 #include <charconv>
+#include <iterator>
 #include <limits>
 #include <string_view>
+#include <utility>
 
 namespace e10::adio {
 
 namespace {
+
+/// e10_cache_flush_flag's spellings, for parsing and the echo.
+constexpr std::pair<std::string_view, cache::FlushPolicy> kFlushFlags[] = {
+    {"flush_immediate", cache::FlushPolicy::immediate},
+    {"flush_onclose", cache::FlushPolicy::onclose},
+    {"none", cache::FlushPolicy::none},
+};
 
 Status invalid(std::string_view key, std::string_view what,
                std::string_view value) {
@@ -64,15 +74,6 @@ std::string to_string(CacheMode m) {
     case CacheMode::disable: return "disable";
     case CacheMode::enable: return "enable";
     case CacheMode::coherent: return "coherent";
-  }
-  return "?";
-}
-
-std::string to_string(FlushFlag f) {
-  switch (f) {
-    case FlushFlag::flush_immediate: return "flush_immediate";
-    case FlushFlag::flush_onclose: return "flush_onclose";
-    case FlushFlag::none: return "none";
   }
   return "?";
 }
@@ -144,15 +145,13 @@ Result<Hints> Hints::parse(const mpi::Info& info) {
     hints.e10_cache_path = *v;
   }
   if (const std::string* v = info.find("e10_cache_flush_flag")) {
-    if (*v == "flush_immediate") {
-      hints.e10_cache_flush_flag = FlushFlag::flush_immediate;
-    } else if (*v == "flush_onclose") {
-      hints.e10_cache_flush_flag = FlushFlag::flush_onclose;
-    } else if (*v == "none") {
-      hints.e10_cache_flush_flag = FlushFlag::none;
-    } else {
+    const auto* flag =
+        std::find_if(std::begin(kFlushFlags), std::end(kFlushFlags),
+                     [v](const auto& entry) { return entry.first == *v; });
+    if (flag == std::end(kFlushFlags)) {
       return invalid("e10_cache_flush_flag", ": bad value ", *v);
     }
+    hints.e10_cache_flush_flag = flag->second;
   }
   if (const std::string* v = info.find("e10_cache_discard_flag")) {
     auto f = parse_flag("e10_cache_discard_flag", *v);
@@ -213,7 +212,11 @@ mpi::Info Hints::to_info() const {
   }
   info.set("e10_cache", to_string(e10_cache));
   info.set("e10_cache_path", e10_cache_path);
-  info.set("e10_cache_flush_flag", to_string(e10_cache_flush_flag));
+  for (const auto& [name, policy] : kFlushFlags) {
+    if (policy == e10_cache_flush_flag) {
+      info.set("e10_cache_flush_flag", std::string(name));
+    }
+  }
   info.set("e10_cache_discard_flag",
            e10_cache_discard ? "enable" : "disable");
   info.set("ind_wr_buffer_size", std::to_string(ind_wr_buffer_size));

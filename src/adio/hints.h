@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 
+#include "cache/flush_policy.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "mpi/info.h"
@@ -20,11 +21,6 @@ enum class Toggle { enable, automatic, disable };
 
 /// e10_cache (Table II): disable, enable, or enable with coherency locks.
 enum class CacheMode { disable, enable, coherent };
-
-/// e10_cache_flush_flag (Table II). `none` is a harness extension used to
-/// measure the paper's "TBW Cache Enable" series (write to cache, never
-/// flush); it is not part of the paper's hint table.
-enum class FlushFlag { flush_immediate, flush_onclose, none };
 
 struct Hints {
   // ---- Table I: collective I/O -------------------------------------------
@@ -45,7 +41,11 @@ struct Hints {
   // ---- Table II: E10 cache extensions ------------------------------------
   CacheMode e10_cache = CacheMode::disable;
   std::string e10_cache_path = "/scratch";
-  FlushFlag e10_cache_flush_flag = FlushFlag::flush_immediate;
+  /// e10_cache_flush_flag: flush_immediate, flush_onclose, or `none`, a
+  /// harness extension used to measure the paper's "TBW Cache Enable"
+  /// series (write to cache, never flush) that is not part of the paper's
+  /// hint table.
+  cache::FlushPolicy e10_cache_flush_flag = cache::FlushPolicy::immediate;
   /// enable: cache file removed after the global file is closed;
   /// disable: retained until the user removes it.
   bool e10_cache_discard = true;
@@ -109,6 +109,5 @@ struct Hints {
 
 std::string to_string(Toggle t);
 std::string to_string(CacheMode m);
-std::string to_string(FlushFlag f);
 
 }  // namespace e10::adio

@@ -141,12 +141,13 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
     params.tracer = &ctx.tracer;
     params.coherent = fd->hints.e10_cache == CacheMode::coherent;
     params.discard = fd->hints.e10_cache_discard;
-    params.staging_bytes = fd->hints.ind_wr_buffer_size;
-    params.sync_streams = fd->hints.e10_sync_streams;
-    params.flush_coalesce = fd->hints.e10_flush_coalesce;
+    params.flush = fd->hints.e10_cache_flush_flag;
+    params.drain.staging_bytes = fd->hints.ind_wr_buffer_size;
+    params.drain.streams = fd->hints.e10_sync_streams;
+    params.drain.coalesce = fd->hints.e10_flush_coalesce;
     // Stripe-align flush dispatches to the global file's layout so no
     // flush write crosses a data server.
-    params.stripe_unit = fd->stripe_unit;
+    params.drain.stripe_unit = fd->stripe_unit;
     // Fault tolerance: the scenario injector supplies the crash schedule;
     // journaling is on when asked for by hint, or automatically whenever
     // the armed plan contains rank crashes (a crash without a journal
@@ -155,17 +156,6 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
     params.journal =
         fd->hints.e10_cache_journal ||
         (ctx.fault.armed() && ctx.fault.plan().has_crashes());
-    switch (fd->hints.e10_cache_flush_flag) {
-      case FlushFlag::flush_immediate:
-        params.flush = cache::FlushPolicy::immediate;
-        break;
-      case FlushFlag::flush_onclose:
-        params.flush = cache::FlushPolicy::onclose;
-        break;
-      case FlushFlag::none:
-        params.flush = cache::FlushPolicy::none;
-        break;
-    }
     auto cache_file =
         cache::CacheFile::open(ctx.engine, ctx.lfs.at(comm.node()), ctx.pfs,
                                fd->handle, params, &ctx.locks);

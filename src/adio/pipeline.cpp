@@ -130,7 +130,7 @@ void WritePipeline::join_oldest() {
     const Time join_at = fd_.ctx->engine.now();
     if (handle.request.valid()) handle.request.wait();
     const sim::JoinOutcome outcome =
-        overlap_.on_join(handle.issued, handle.done, join_at);
+        sim::split_join(handle.issued, handle.done, join_at);
     // A stalled join means this rank was gated on the write's service time:
     // record the async interval for critical-path attribution.
     if (sim::CausalObserver* causal = fd_.ctx->engine.causal_observer();

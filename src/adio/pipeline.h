@@ -121,22 +121,19 @@ class WritePipeline {
   /// Joins every in-flight write. Idempotent; also run by the destructor.
   void drain();
 
-  /// Join-point accounting across the pipeline's lifetime.
-  const sim::OverlapAccumulator& overlap() const { return overlap_; }
-
  private:
   struct InFlightRound {
     Offset round = 0;
     std::vector<WriteHandle> handles;
   };
 
-  /// Joins the oldest in-flight round and updates the overlap accounting.
+  /// Joins the oldest in-flight round and adds its hidden/stalled write
+  /// time to the coll.pipeline.* counters.
   void join_oldest();
 
   AdioFile& fd_;
   bool enabled_ = false;
   sim::Fifo<InFlightRound> in_flight_ E10_TRACKED_BY(state_var_);
-  sim::OverlapAccumulator overlap_ E10_TRACKED_BY(state_var_);
   /// Pipeline bookkeeping is single-owner state of the issuing rank; the
   /// checker verifies nothing else ever touches it.
   sim::SharedVar state_var_;

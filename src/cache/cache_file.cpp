@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <stdexcept>
 
 #include "common/log.h"
 #include "fault/fault_injector.h"
@@ -37,31 +36,30 @@ Result<std::unique_ptr<CacheFile>> CacheFile::open(
     return Status::error(Errc::invalid_argument,
                          "cache: quarantine_after must be >= 1");
   }
-  if (params.sync_streams < 1) {
-    return Status::error(Errc::invalid_argument,
-                         "cache: sync_streams must be >= 1");
+  if (const Status checked = check_flush_params(params.drain);
+      !checked.is_ok()) {
+    return checked;
   }
-  if (params.stripe_unit < 0) {
-    return Status::error(Errc::invalid_argument,
-                         "cache: negative stripe unit");
+  const RetryPolicy& retry = params.retry;
+  if (retry.max_attempts < 1 || retry.max_requeues < 0 ||
+      retry.backoff_base < 0 || retry.backoff_cap < retry.backoff_base ||
+      retry.jitter < 0.0) {
+    return Status::error(Errc::invalid_argument, "cache: bad retry policy");
   }
   const auto handle =
       local_fs.open(params.cache_path, /*create=*/true, /*truncate=*/true);
   if (!handle.is_ok()) return handle.status();
 
-  std::unique_ptr<CacheFile> cache(new CacheFile(
-      engine, local_fs, pfs, global_handle, params, locks, handle.value()));
-
+  lfs::FileHandle journal_handle = 0;
+  lfs::FileHandle commits_handle = 0;
   if (params.journal) {
     const auto journal = local_fs.open(journal_path(params.cache_path),
                                        /*create=*/true, /*truncate=*/true);
     const auto commits = local_fs.open(commits_path(params.cache_path),
                                        /*create=*/true, /*truncate=*/true);
     if (journal.is_ok() && commits.is_ok()) {
-      cache->journaling_ = true;
-      cache->journal_handle_ = journal.value();
-      cache->commits_handle_ = commits.value();
-      cache->sync_->enable_commit_journal(commits.value());
+      journal_handle = journal.value();
+      commits_handle = commits.value();
     } else {
       // A cache without its journal is still a working cache — it just
       // cannot replay after a crash. Degrading beats failing the open.
@@ -71,30 +69,25 @@ Result<std::unique_ptr<CacheFile>> CacheFile::open(
       if (commits.is_ok()) (void)local_fs.close(commits.value());
     }
   }
-  cache->sync_->start();
-  return cache;
+  return std::unique_ptr<CacheFile>(
+      new CacheFile(engine, local_fs, pfs, global_handle, params, locks,
+                    handle.value(), journal_handle, commits_handle));
 }
 
 CacheFile::CacheFile(sim::Engine& engine, lfs::LocalFs& local_fs,
                      pfs::Pfs& pfs, pfs::FileHandle global_handle,
                      const CacheFileParams& params, LockTable* locks,
-                     lfs::FileHandle cache_handle)
+                     lfs::FileHandle cache_handle,
+                     lfs::FileHandle journal_handle,
+                     lfs::FileHandle commits_handle)
     : engine_(engine),
       local_fs_(local_fs),
       params_(params),
       locks_(locks),
       cache_handle_(cache_handle),
-      extent_map_var_(engine, "cache.extent_map:" + params.cache_path) {
-  sync_ = std::make_unique<SyncThread>(
-      engine, local_fs, cache_handle, pfs, global_handle, params.global_path,
-      params.staging_bytes, locks);
-  sync_->set_observability(params.metrics, params.tracer, params.rank);
-  sync_->set_retry_policy(params.retry);
-  FlushSchedulerParams flush;
-  flush.streams = params.sync_streams;
-  flush.coalesce = params.flush_coalesce;
-  flush.stripe_unit = params.stripe_unit;
-  sync_->set_flush_params(flush);
+      extent_map_var_(engine, "cache.extent_map:" + params.cache_path),
+      journal_handle_(journal_handle),
+      commits_handle_(commits_handle) {
   if (params.metrics != nullptr) {
     // Instrument resolution mutates the shared registry from every rank's
     // open path; claim the registry monitor for the checker.
@@ -107,6 +100,13 @@ CacheFile::CacheFile(sim::Engine& engine, lfs::LocalFs& local_fs,
     write_hist_ = &params.metrics->histogram(
         obs::names::kCacheWriteBytesHist, obs::exponential_bounds(4096, 14));
   }
+  // Last: building the sync thread spawns its worker, which starts at the
+  // clock the open (journal sidecars included) has reached.
+  sync_ = std::make_unique<SyncThread>(
+      engine, local_fs, cache_handle, pfs, global_handle, params.global_path,
+      locks, params.drain, params.retry,
+      journaling() ? std::optional(commits_handle) : std::nullopt,
+      params.metrics, params.tracer, params.rank);
 }
 
 CacheFile::~CacheFile() {
@@ -200,14 +200,12 @@ Status CacheFile::abort_append(const Extent& global, const Status& failed) {
 
 void CacheFile::finish_append(const Extent& global, Offset cache_offset) {
   std::uint64_t seq = 0;
-  if (journaling_) {
+  if (journaling()) {
     seq = next_seq_++;
     journal_cursor_ += kWriteRecordBytes;
   }
   consecutive_device_errors_ = 0;
   append_cursor_ += global.length;
-  ++stats_.writes;
-  stats_.bytes_cached += global.length;
   if (writes_counter_ != nullptr) {
     writes_counter_->increment();
     bytes_counter_->add(global.length);
@@ -247,7 +245,7 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
   // Journal before the extent becomes visible: an extent the journal does
   // not cover cannot be replayed after a crash, so a failed append fails
   // the cache write and the caller writes through to the global file.
-  if (journaling_) {
+  if (journaling()) {
     const WriteRecord record{next_seq_, global.offset, global.length,
                              cache_offset};
     const Status appended = local_fs_.write(journal_handle_, journal_cursor_,
@@ -269,7 +267,7 @@ Result<Time> CacheFile::iwrite(const Extent& global, const DataView& data) {
   // Journal before the extent becomes visible (same rule as write()); the
   // sidecar append shares the device's FIFO timeline, so the completion
   // time covers both the data and its journal record.
-  if (journaling_) {
+  if (journaling()) {
     const WriteRecord record{next_seq_, global.offset, global.length,
                              cache_offset};
     const auto appended = local_fs_.write_async(
@@ -295,7 +293,6 @@ std::optional<DataView> CacheFile::try_read(const Extent& global) {
   }
   while (cursor < global.end()) {
     if (it == extent_map_.end() || it->offset > cursor) {
-      ++stats_.read_misses;
       return std::nullopt;  // gap: extent not fully cached
     }
     const Offset skip = cursor - it->offset;
@@ -309,14 +306,9 @@ std::optional<DataView> CacheFile::try_read(const Extent& global) {
   parts.reserve(runs.size());
   for (const auto& [cache_off, len] : runs) {
     auto piece = local_fs_.read(cache_handle_, cache_off, len);
-    if (!piece.is_ok() || piece.value().size() != len) {
-      ++stats_.read_misses;
-      return std::nullopt;
-    }
+    if (!piece.is_ok() || piece.value().size() != len) return std::nullopt;
     parts.push_back(std::move(piece).value());
   }
-  ++stats_.read_hits;
-  stats_.bytes_read_from_cache += global.length;
   return DataView::concat(parts);
 }
 
@@ -359,14 +351,14 @@ Status CacheFile::close() {
     if (first.is_ok() && !s.is_ok()) first = s;
   };
   keep_first(local_fs_.close(cache_handle_));
-  if (journaling_) {
+  if (journaling()) {
     keep_first(local_fs_.close(journal_handle_));
     keep_first(local_fs_.close(commits_handle_));
   }
   closed_ = true;
   if (params_.discard) {
     keep_first(local_fs_.unlink(params_.cache_path));
-    if (journaling_) {
+    if (journaling()) {
       keep_first(local_fs_.unlink(journal_path(params_.cache_path)));
       keep_first(local_fs_.unlink(commits_path(params_.cache_path)));
     }
@@ -394,7 +386,7 @@ void CacheFile::simulate_crash() {
   // Handles die with the process; the files themselves survive on the
   // non-volatile device — that is the paper's whole durability argument.
   (void)local_fs_.close(cache_handle_);
-  if (journaling_) {
+  if (journaling()) {
     (void)local_fs_.close(journal_handle_);
     (void)local_fs_.close(commits_handle_);
   }

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/flush_policy.h"
 #include "cache/journal.h"
 #include "cache/lock_table.h"
 #include "cache/sync_thread.h"
@@ -39,32 +40,18 @@ class FaultInjector;
 
 namespace e10::cache {
 
-enum class FlushPolicy {
-  immediate,  // dispatch at write time (e10_cache_flush_flag=flush_immediate)
-  onclose,    // dispatch at flush/close  (flush_onclose)
-  none,       // never sync (harness-only: measures theoretical bandwidth)
-};
-
 struct CacheFileParams {
   std::string global_path;  // the global file this cache shadows
   std::string cache_path;   // pathname of the cache file on the local FS
   FlushPolicy flush = FlushPolicy::immediate;
   bool coherent = false;  // hold extent locks until data is persistent
   bool discard = true;    // remove the cache file on close
-  Offset staging_bytes = 512 * units::KiB;  // ind_wr_buffer_size
   /// fallocate granularity: space is reserved in chunks this big so that
   /// most writes pay no allocation cost.
   Offset alloc_chunk = 64 * units::MiB;
-  /// Concurrent in-flight flush streams per sync thread (e10_sync_streams):
-  /// how many durable PFS writes the drain keeps outstanding. 1 restores
-  /// the serial read-back→write loop.
-  int sync_streams = 4;
-  /// Coalesce adjacent queued sync requests into shared stripe-aligned
-  /// dispatches (e10_flush_coalesce_flag); see docs/flush_scheduler.md.
-  bool flush_coalesce = true;
-  /// PFS stripe unit of the global file: flush dispatches are split on its
-  /// boundaries so no flush write crosses a data server (0 = no alignment).
-  Offset stripe_unit = 0;
+  /// The sync thread's drain: staging size, flush streams, coalescing and
+  /// stripe alignment (docs/flush_scheduler.md).
+  FlushSchedulerParams drain;
   /// Record journal for crash recovery: append one WriteRecord per cache
   /// write to `<cache_path>.journal` and one CommitRecord per durable
   /// extent to `<cache_path>.commits`. Off by default — the sidecar
@@ -86,15 +73,6 @@ struct CacheFileParams {
   int rank = 0;
 };
 
-struct CacheFileStats {
-  Offset bytes_cached = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t fallback_writes = 0;  // writes that bypassed the cache
-  std::uint64_t read_hits = 0;
-  std::uint64_t read_misses = 0;
-  Offset bytes_read_from_cache = 0;
-};
-
 /// What CacheFile::recover() found and replayed after a crash.
 struct RecoveryReport {
   std::uint64_t journal_records = 0;  // WriteRecords scanned
@@ -105,9 +83,10 @@ struct RecoveryReport {
 
 class CacheFile {
  public:
-  /// Opens (creates) the cache file and starts the sync thread. Fails if
-  /// the local file system cannot host it — the caller then reverts to
-  /// standard (uncached) operation, as the paper's OpenColl does.
+  /// Opens (creates) the cache file and its journal sidecars, then starts
+  /// the sync thread. Fails with invalid_argument on bad params, or when
+  /// the local file system cannot host the cache file — the caller then
+  /// reverts to standard (uncached) operation, as the paper's OpenColl does.
   static Result<std::unique_ptr<CacheFile>> open(sim::Engine& engine,
                                                  lfs::LocalFs& local_fs,
                                                  pfs::Pfs& pfs,
@@ -181,19 +160,20 @@ class CacheFile {
     return cache_path + ".commits";
   }
 
-  const CacheFileStats& stats() const { return stats_; }
   const SyncStats& sync_stats() const { return sync_->stats(); }
   std::size_t outstanding_requests() const { return outstanding_.size(); }
   const CacheFileParams& params() const { return params_; }
   bool closed() const { return closed_; }
   bool crashed() const { return crashed_; }
   bool degraded() const { return degraded_; }
-  bool journaling() const { return journaling_; }
+  bool journaling() const { return journal_handle_ != 0; }
 
  private:
+  /// `journal_handle`/`commits_handle` are the open journal sidecars.
   CacheFile(sim::Engine& engine, lfs::LocalFs& local_fs, pfs::Pfs& pfs,
             pfs::FileHandle global_handle, const CacheFileParams& params,
-            LockTable* locks, lfs::FileHandle cache_handle);
+            LockTable* locks, lfs::FileHandle cache_handle,
+            lfs::FileHandle journal_handle, lfs::FileHandle commits_handle);
 
   Status ensure_allocated(Offset needed_end);
   /// write()/iwrite() up to the device: the checks, the allocation and, in
@@ -229,11 +209,9 @@ class CacheFile {
   ExtentMap extent_map_;
   std::vector<SyncRequest> deferred_;      // onclose policy, not yet sent
   std::vector<mpi::Request> outstanding_;  // dispatched, possibly incomplete
-  CacheFileStats stats_;
-  // Journal state (journaling_ only set when both sidecars opened).
-  bool journaling_ = false;
-  lfs::FileHandle journal_handle_ = 0;
-  lfs::FileHandle commits_handle_ = 0;
+  // Journal sidecars: both open, or both 0 without crash recovery.
+  lfs::FileHandle journal_handle_;
+  lfs::FileHandle commits_handle_;
   Offset journal_cursor_ = 0;
   std::uint64_t next_seq_ = 1;  // seq 0 is reserved for "not journaled"
   // Quarantine state.

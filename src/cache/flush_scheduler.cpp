@@ -74,6 +74,21 @@ bool DispatchCursor::next(Dispatch& out) {
   return true;
 }
 
+Status check_flush_params(const FlushSchedulerParams& params) {
+  if (params.streams < 1) {
+    return Status::error(Errc::invalid_argument,
+                         "flush: sync streams must be >= 1");
+  }
+  if (params.staging_bytes <= 0) {
+    return Status::error(Errc::invalid_argument,
+                         "flush: staging buffer must be > 0");
+  }
+  if (params.stripe_unit < 0) {
+    return Status::error(Errc::invalid_argument, "flush: negative stripe unit");
+  }
+  return Status::ok();
+}
+
 FlushScheduler::FlushScheduler(sim::Engine& engine, lfs::LocalFs& local_fs,
                                lfs::FileHandle cache_handle, pfs::Pfs& pfs,
                                pfs::FileHandle global_handle,
@@ -86,16 +101,9 @@ FlushScheduler::FlushScheduler(sim::Engine& engine, lfs::LocalFs& local_fs,
       global_handle_(global_handle),
       params_(params),
       state_var_(engine, "cache.sync.flush_sched:" + global_path) {
-  if (params_.streams < 1) {
-    throw std::logic_error("FlushScheduler: streams must be >= 1");
+  if (const Status checked = check_flush_params(params_); !checked.is_ok()) {
+    throw std::logic_error("FlushScheduler: " + checked.message());
   }
-  if (params_.staging_bytes <= 0) {
-    throw std::logic_error("FlushScheduler: staging buffer must be > 0");
-  }
-  if (params_.stripe_unit < 0) {
-    throw std::logic_error("FlushScheduler: negative stripe unit");
-  }
-  if (params_.max_batch < 1) params_.max_batch = 1;
   in_flight_.reserve(static_cast<std::size_t>(params_.streams));
 }
 
@@ -183,7 +191,6 @@ BatchOutcome FlushScheduler::drain(std::vector<SyncRequest>& members,
           stats_.inflight_high_water = std::max(
               stats_.inflight_high_water,
               static_cast<std::uint64_t>(in_flight_.size()));
-          ++stats_.dispatches;
           ++outcome.dispatches;
           outcome.bytes_written += dispatch.global.length;
           // The write will reach the media: advance the members' resume

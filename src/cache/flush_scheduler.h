@@ -47,23 +47,34 @@
 
 namespace e10::cache {
 
+/// A sync thread's drain settings, filled once from the file's hints by
+/// adio::open_coll and carried unchanged through CacheFile and SyncThread.
 struct FlushSchedulerParams {
-  /// Concurrent in-flight durable writes per sync thread (>= 1). One
-  /// staging buffer exists per stream; a buffer is refilled only after the
-  /// write it fed has been joined. 1 issues in the serial drain's order.
+  /// Concurrent in-flight durable writes per sync thread (>= 1,
+  /// e10_sync_streams). One staging buffer exists per stream; a buffer is
+  /// refilled only after the write it fed has been joined. 1 issues in the
+  /// serial drain's order.
   int streams = 4;
-  /// Merge adjacent queued requests into shared dispatches. Off, every
-  /// request drains on its own (the pre-scheduler behaviour).
+  /// Merge adjacent queued requests into shared dispatches
+  /// (e10_flush_coalesce_flag). Off, every request drains on its own (the
+  /// pre-scheduler behaviour).
   bool coalesce = true;
-  /// PFS stripe unit: dispatches are split on multiples of it so no flush
-  /// write crosses a data server. 0 disables alignment splitting.
+  /// The global file's PFS stripe unit: dispatches are split on multiples
+  /// of it so no flush write crosses a data server. 0 disables alignment
+  /// splitting.
   Offset stripe_unit = 0;
   /// Staging-buffer size (ind_wr_buffer_size): the capacity of one
   /// dispatch.
   Offset staging_bytes = 512 * units::KiB;
-  /// Upper bound on requests gathered into one batch (plan-cost bound).
-  std::size_t max_batch = 256;
 };
+
+/// The one check of a drain's settings: ok, or invalid_argument naming the
+/// bad value. CacheFile::open returns it; the FlushScheduler constructor
+/// throws std::logic_error on it.
+Status check_flush_params(const FlushSchedulerParams& params);
+
+/// Upper bound on requests gathered into one batch (plan-cost bound).
+inline constexpr std::size_t kMaxBatchMembers = 256;
 
 /// One contiguous slice of a dispatch, attributed to the batch member whose
 /// cached bytes it carries.
@@ -120,7 +131,7 @@ struct BatchOutcome {
   /// advanced past everything already durable).
   Status status = Status::ok();
   int retries = 0;                  // in-place retries consumed
-  std::uint64_t dispatches = 0;     // staged chunks written (or retried)
+  std::uint64_t dispatches = 0;     // stripe-aligned writes issued
   Offset bytes_written = 0;         // bytes issued durably this drain
   /// When every byte issued this drain is on the media. On success the
   /// drain returns at issue-completion with writes still in flight; the
@@ -134,8 +145,7 @@ struct BatchOutcome {
 /// metrics registry at shutdown (cache.sync.coalesce.* / .streams.*).
 struct FlushSchedulerStats {
   std::uint64_t batches = 0;
-  std::uint64_t members = 0;     // requests that entered batches
-  std::uint64_t dispatches = 0;  // stripe-aligned writes issued
+  std::uint64_t members = 0;  // requests that entered batches
   std::uint64_t inflight_high_water = 0;
 };
 

@@ -11,78 +11,32 @@ namespace e10::cache {
 SyncThread::SyncThread(sim::Engine& engine, lfs::LocalFs& local_fs,
                        lfs::FileHandle cache_handle, pfs::Pfs& pfs,
                        pfs::FileHandle global_handle, std::string global_path,
-                       Offset staging_bytes, LockTable* locks)
+                       LockTable* locks, const FlushSchedulerParams& drain,
+                       const RetryPolicy& retry,
+                       std::optional<lfs::FileHandle> commits_handle,
+                       obs::MetricsRegistry* metrics, obs::Tracer* tracer,
+                       int rank)
     : engine_(engine),
       local_fs_(local_fs),
-      cache_handle_(cache_handle),
-      pfs_(pfs),
-      global_handle_(global_handle),
       global_path_(std::move(global_path)),
-      staging_bytes_(staging_bytes),
       locks_(locks),
       inbox_(engine),
       stats_mutex_(engine, "cache.sync.stats_mutex:" + global_path_),
       stats_var_(engine, "cache.sync.stats:" + global_path_),
       inbox_var_(engine, "cache.sync.inbox:" + global_path_),
-      inbox_monitor_name_("cache.sync.inbox.monitor:" + global_path_) {
+      inbox_monitor_name_("cache.sync.inbox.monitor:" + global_path_),
+      retry_(retry),
+      scheduler_(engine, local_fs, cache_handle, pfs, global_handle,
+                 global_path_, drain),
+      backoff_rng_(Rng::derive(
+          Rng::derive(static_cast<std::uint64_t>(rank), global_path_),
+          "sync-backoff")),
+      commits_handle_(commits_handle),
+      metrics_(metrics),
+      tracer_(tracer),
+      rank_(rank) {
   // The inbox monitor is keyed on this heap object's inbox_.
   sim::lock_created(engine_, &inbox_);
-  if (staging_bytes_ <= 0) {
-    throw std::logic_error("SyncThread: staging buffer must be > 0");
-  }
-}
-
-void SyncThread::set_observability(obs::MetricsRegistry* metrics,
-                                   obs::Tracer* tracer, int rank) {
-  if (handle_.valid()) {
-    throw std::logic_error("SyncThread: set_observability after start");
-  }
-  metrics_ = metrics;
-  tracer_ = tracer;
-  rank_ = rank;
-}
-
-void SyncThread::set_retry_policy(const RetryPolicy& policy) {
-  if (handle_.valid()) {
-    throw std::logic_error("SyncThread: set_retry_policy after start");
-  }
-  if (policy.max_attempts < 1 || policy.max_requeues < 0 ||
-      policy.backoff_base < 0 || policy.backoff_cap < policy.backoff_base ||
-      policy.jitter < 0.0) {
-    throw std::logic_error("SyncThread: bad retry policy");
-  }
-  retry_ = policy;
-}
-
-void SyncThread::set_flush_params(const FlushSchedulerParams& params) {
-  if (handle_.valid()) {
-    throw std::logic_error("SyncThread: set_flush_params after start");
-  }
-  if (params.streams < 1 || params.stripe_unit < 0) {
-    throw std::logic_error("SyncThread: bad flush-scheduler params");
-  }
-  flush_params_ = params;
-}
-
-void SyncThread::enable_commit_journal(lfs::FileHandle commits_handle) {
-  if (handle_.valid()) {
-    throw std::logic_error("SyncThread: enable_commit_journal after start");
-  }
-  commit_journal_ = true;
-  commits_handle_ = commits_handle;
-}
-
-void SyncThread::start() {
-  if (handle_.valid()) throw std::logic_error("SyncThread already started");
-  backoff_rng_ = LazyRng(Rng::derive(
-      Rng::derive(static_cast<std::uint64_t>(rank_), global_path_),
-      "sync-backoff"));
-  FlushSchedulerParams params = flush_params_;
-  params.staging_bytes = staging_bytes_;
-  scheduler_ = std::make_unique<FlushScheduler>(engine_, local_fs_,
-                                                cache_handle_, pfs_,
-                                                global_handle_, global_path_,
-                                                params);
   handle_ = engine_.spawn("sync:" + global_path_, [this] { run(); });
 }
 
@@ -101,7 +55,9 @@ void SyncThread::note_queue_depth(std::size_t depth) {
 }
 
 void SyncThread::enqueue(SyncRequest request) {
-  if (!handle_.valid()) throw std::logic_error("SyncThread not started");
+  if (!handle_.valid()) {
+    throw std::logic_error("SyncThread: enqueue after shutdown");
+  }
   // The enqueue is the causal source of the drain that services it.
   if (sim::CausalObserver* causal = engine_.causal_observer();
       causal != nullptr && engine_.in_process()) {
@@ -166,14 +122,12 @@ void SyncThread::fold_stats_and_join() {
         .set(static_cast<std::int64_t>(totals.queue_depth_high_water));
     // Flush-scheduler totals: coalescing shape and the stream window's
     // write/hidden/stall split (docs/flush_scheduler.md).
-    const FlushSchedulerStats& sched = scheduler_->stats();
-    const sim::OverlapAccumulator& window = scheduler_->overlap();
+    const FlushSchedulerStats& sched = scheduler_.stats();
+    const sim::OverlapAccumulator& window = scheduler_.overlap();
     metrics_->counter(names::kSyncBatches)
         .add(static_cast<std::int64_t>(sched.batches));
     metrics_->counter(names::kSyncBatchMembers)
         .add(static_cast<std::int64_t>(sched.members));
-    metrics_->counter(names::kSyncDispatches)
-        .add(static_cast<std::int64_t>(sched.dispatches));
     metrics_->counter(names::kSyncStreamWriteNs).add(window.service_time());
     metrics_->counter(names::kSyncStreamHiddenNs).add(window.hidden_time());
     metrics_->counter(names::kSyncStreamStalls)
@@ -235,7 +189,7 @@ SyncThread::Gather SyncThread::gather_batch(std::vector<SyncRequest>& batch,
   batch.push_back(std::move(first));
 
   // The cancelled drain does no I/O, so there is nothing to coalesce.
-  if (!scheduler_->params().coalesce || cancelled_) return Gather::kBatch;
+  if (!scheduler_.params().coalesce || cancelled_) return Gather::kBatch;
 
   // Request aggregation: pull everything already queued into the batch, as
   // long as its remaining extent does not overlap the batch's coverage. An
@@ -244,7 +198,7 @@ SyncThread::Gather SyncThread::gather_batch(std::vector<SyncRequest>& batch,
   // the next batch.
   ExtentList coverage;
   coverage.add(batch.front().remaining());
-  while (batch.size() < scheduler_->params().max_batch) {
+  while (batch.size() < kMaxBatchMembers) {
     std::optional<SyncRequest> next;
     {
       const sim::MonitorGuard monitor(engine_, &inbox_, inbox_monitor_name_);
@@ -302,9 +256,9 @@ void SyncThread::finalize_deferred() {
 }
 
 void SyncThread::finish_member(SyncRequest& member, bool durable) {
-  if (durable && commit_journal_ && member.seq != 0) {
+  if (durable && commits_handle_.has_value() && member.seq != 0) {
     const Status committed = local_fs_.write(
-        commits_handle_, commits_cursor_, encode_commit_record(member.seq));
+        *commits_handle_, commits_cursor_, encode_commit_record(member.seq));
     if (committed.is_ok()) {
       commits_cursor_ += kCommitRecordBytes;
     } else {
@@ -366,7 +320,7 @@ void SyncThread::run() {
     span.arg("members", static_cast<Offset>(batch.size()));
 
     const BatchOutcome outcome =
-        scheduler_->drain(batch, retry_, backoff_rng_);
+        scheduler_.drain(batch, retry_, backoff_rng_);
     span.arg("dispatches", static_cast<Offset>(outcome.dispatches));
     span.arg("bytes", outcome.bytes_written);
     if (outcome.retries > 0) span.arg("retries", outcome.retries);
@@ -442,7 +396,7 @@ void SyncThread::run() {
   // writes a later drain never recycled so the overlap window accounts for
   // every issued byte.
   finalize_deferred();
-  scheduler_->join_all();
+  scheduler_.join_all();
 }
 
 }  // namespace e10::cache

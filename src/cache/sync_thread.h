@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,37 +51,26 @@ namespace e10::cache {
 
 class SyncThread {
  public:
+  /// Builds the thread and spawns its worker process (call from a simulated
+  /// process). `drain` sets the flush scheduler; `retry` the backoff ladder,
+  /// whose jitter stream is seeded from (rank, global path) so it is
+  /// reproducible per thread. With `commits_handle` set, a CommitRecord for
+  /// each fully durable extent's seq is appended to that journal sidecar.
+  /// Either sink may be null; `rank` labels this thread's trace track, and
+  /// at shutdown the accumulated SyncStats are folded into `metrics` under
+  /// the cache.sync.* names. The settings are not checked here:
+  /// CacheFile::open checks them, and the FlushScheduler throws on bad
+  /// drain settings.
   SyncThread(sim::Engine& engine, lfs::LocalFs& local_fs,
              lfs::FileHandle cache_handle, pfs::Pfs& pfs,
              pfs::FileHandle global_handle, std::string global_path,
-             Offset staging_bytes, LockTable* locks);
+             LockTable* locks, const FlushSchedulerParams& drain,
+             const RetryPolicy& retry,
+             std::optional<lfs::FileHandle> commits_handle,
+             obs::MetricsRegistry* metrics, obs::Tracer* tracer, int rank);
 
   SyncThread(const SyncThread&) = delete;
   SyncThread& operator=(const SyncThread&) = delete;
-
-  /// Attaches metrics/tracing sinks (either may be null). Call before
-  /// start(); `rank` labels this thread's trace track. At shutdown the
-  /// accumulated SyncStats are folded into the registry under the
-  /// cache.sync.* names.
-  void set_observability(obs::MetricsRegistry* metrics, obs::Tracer* tracer,
-                         int rank);
-
-  /// Overrides the retry policy (call before start()). The jitter stream is
-  /// seeded from (rank, global path) so it is reproducible per thread.
-  void set_retry_policy(const RetryPolicy& policy);
-
-  /// Overrides the flush-scheduler knobs (call before start()): stream
-  /// count, coalescing, stripe alignment. The staging size always follows
-  /// the constructor's `staging_bytes` (ind_wr_buffer_size).
-  void set_flush_params(const FlushSchedulerParams& params);
-
-  /// Commits durable extents to the journal sidecar: after a request's
-  /// extent is fully durable, a CommitRecord for its seq is appended
-  /// through `commits_handle`. Call before start().
-  void enable_commit_journal(lfs::FileHandle commits_handle);
-
-  /// Spawns the worker process (call once, from a simulated process).
-  void start();
 
   /// Queues a sync request; never blocks the caller (the queue-depth
   /// accounting takes the stats mutex briefly, so the caller must not
@@ -112,11 +100,6 @@ class SyncThread {
   const SyncStats& stats() const E10_NO_THREAD_SAFETY_ANALYSIS {
     return stats_;
   }
-  /// Scheduler totals; same joined-only caveat as stats().
-  const FlushSchedulerStats& scheduler_stats() const {
-    return scheduler_->stats();
-  }
-  bool started() const { return handle_.valid(); }
 
  private:
   /// What one gather attempt produced.
@@ -154,11 +137,7 @@ class SyncThread {
 
   sim::Engine& engine_;
   lfs::LocalFs& local_fs_;
-  lfs::FileHandle cache_handle_;
-  pfs::Pfs& pfs_;
-  pfs::FileHandle global_handle_;
   std::string global_path_;
-  Offset staging_bytes_;
   LockTable* locks_;
   void note_queue_depth(std::size_t depth) E10_EXCLUDES(stats_mutex_);
 
@@ -181,9 +160,8 @@ class SyncThread {
   sim::SharedVar inbox_var_;
   std::string inbox_monitor_name_;
   RetryPolicy retry_;
-  FlushSchedulerParams flush_params_;
-  std::unique_ptr<FlushScheduler> scheduler_;  // created at start()
-  LazyRng backoff_rng_{0};                     // seeded at start()
+  FlushScheduler scheduler_;
+  LazyRng backoff_rng_;
   /// A drained request that overlapped the gathering batch's coverage: it
   /// must dispatch after that batch (queue order resolves shadowing), so
   /// it waits here and seeds the next batch.
@@ -192,12 +170,11 @@ class SyncThread {
   sim::Fifo<DeferredBatch> deferred_;
   bool shutdown_seen_ = false;  // sentinel drained while gathering
   bool cancelled_ = false;      // set by cancel_drain_and_join()
-  bool commit_journal_ = false;
-  lfs::FileHandle commits_handle_ = 0;
+  std::optional<lfs::FileHandle> commits_handle_;
   Offset commits_cursor_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  int rank_ = 0;
+  obs::MetricsRegistry* metrics_;
+  obs::Tracer* tracer_;
+  int rank_;
   int track_ = -1;  // trace track id, registered lazily by run()
 };
 

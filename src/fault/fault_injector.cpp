@@ -17,33 +17,30 @@ void FaultInjector::arm(FaultPlan plan) {
   armed_ = !plan_.empty();
   if (armed_) {
     log::info("fault", "armed: ", plan_.summary());
-    ensure_instruments();
+    ensure_track();
   }
 }
 
-void FaultInjector::set_observability(obs::MetricsRegistry* metrics,
-                                      obs::Tracer* tracer) {
-  metrics_ = metrics;
+void FaultInjector::set_observability(obs::Tracer* tracer) {
   tracer_ = tracer;
-  injected_total_ = nullptr;
-  outage_rejections_ = nullptr;
-  crash_counter_ = nullptr;
-  injected_by_op_.fill(nullptr);
   fault_track_ = -1;
-  if (armed_) ensure_instruments();
+  if (armed_) ensure_track();
 }
 
-void FaultInjector::ensure_instruments() {
-  if (metrics_ != nullptr && injected_total_ == nullptr) {
-    injected_total_ = &metrics_->counter(obs::names::kFaultInjected);
-    outage_rejections_ = &metrics_->counter(obs::names::kFaultOutageRejections);
-    crash_counter_ = &metrics_->counter(obs::names::kFaultCrashes);
-    for (std::size_t i = 0; i < kFaultOpCount; ++i) {
-      injected_by_op_[i] = &metrics_->counter(
-          std::string("fault.") + fault_op_name(static_cast<FaultOp>(i)) +
-          ".injected");
-    }
+void FaultInjector::export_metrics(obs::MetricsRegistry& registry) const {
+  if (!armed_) return;
+  registry.publish(obs::names::kFaultInjected, stats_.injected);
+  registry.publish(obs::names::kFaultOutageRejections,
+                   stats_.outage_rejections);
+  registry.publish(obs::names::kFaultCrashes, stats_.crashes);
+  for (std::size_t i = 0; i < kFaultOpCount; ++i) {
+    registry.publish(std::string("fault.") +
+                         fault_op_name(static_cast<FaultOp>(i)) + ".injected",
+                     stats_.injected_by_op[i]);
   }
+}
+
+void FaultInjector::ensure_track() {
   if (tracer_ != nullptr && fault_track_ < 0) {
     fault_track_ = tracer_->track("faults");
   }
@@ -71,7 +68,7 @@ void FaultInjector::force_failures(FaultOp op, int count, Errc errc,
       }
     }
     armed_ = true;
-    ensure_instruments();
+    ensure_track();
   }
 }
 
@@ -97,9 +94,7 @@ Status FaultInjector::inject(FaultOp op, Errc errc, bool charge_latency) {
     engine_.delay(plan_.error_latency);
   }
   ++stats_.injected;
-  if (injected_total_ != nullptr) injected_total_->increment();
-  const std::size_t i = static_cast<std::size_t>(op);
-  if (injected_by_op_[i] != nullptr) injected_by_op_[i]->increment();
+  ++stats_.injected_by_op[static_cast<std::size_t>(op)];
   mark(std::string(fault_op_name(op)) + " " + errc_name(errc));
   log::debug("fault", "injected ", errc_name(errc), " on ",
              fault_op_name(op));
@@ -113,7 +108,6 @@ bool FaultInjector::server_down(int server, Time now) {
   for (const OutageWindow& w : plan_.outages) {
     if (w.server == server && w.hard() && w.covers(now)) {
       ++stats_.outage_rejections;
-      if (outage_rejections_ != nullptr) outage_rejections_->increment();
       mark("outage reject server " + std::to_string(server));
       return true;
     }
@@ -141,7 +135,6 @@ bool FaultInjector::crash_due(int rank, Time now, bool in_flush) {
     if (!due) continue;
     crash_fired_[i] = true;
     ++stats_.crashes;
-    if (crash_counter_ != nullptr) crash_counter_->increment();
     mark("crash rank " + std::to_string(rank));
     log::warn("fault", "rank ", rank, " crash fired",
               c.during_flush ? " (during flush)" : "");

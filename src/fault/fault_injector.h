@@ -44,10 +44,16 @@ class FaultInjector {
   bool armed() const { return armed_; }
   const FaultPlan& plan() const { return plan_; }
 
-  /// Wires metric counters and the "faults" trace track. Instruments are
-  /// only created once a scenario (or forced failure) arms the injector, so
-  /// clean runs keep their metrics snapshot unchanged.
-  void set_observability(obs::MetricsRegistry* metrics, obs::Tracer* tracer);
+  /// Wires the "faults" trace track, created once a scenario (or forced
+  /// failure) arms the injector.
+  void set_observability(obs::Tracer* tracer);
+
+  /// Publishes stats() into `registry` (fault.injected,
+  /// .outage_rejections, .crashes and fault.<op>.injected), covering the
+  /// injector since its last arm(). Only an armed injector publishes, so
+  /// clean runs keep their metrics snapshot unchanged. Idempotent, meant
+  /// for report time.
+  void export_metrics(obs::MetricsRegistry& registry) const;
 
   /// Hot-path hook: returns ok, or the injected failure after charging the
   /// plan's error latency. Call sites guard on a possibly-null injector and
@@ -87,13 +93,14 @@ class FaultInjector {
     std::int64_t injected = 0;
     std::int64_t outage_rejections = 0;
     std::int64_t crashes = 0;
+    std::array<std::int64_t, kFaultOpCount> injected_by_op{};
   };
   const Stats& stats() const { return stats_; }
 
  private:
   Status draw(FaultOp op);
   Status inject(FaultOp op, Errc errc, bool charge_latency);
-  void ensure_instruments();
+  void ensure_track();
   void mark(const std::string& label);
 
   sim::Engine& engine_;
@@ -106,12 +113,7 @@ class FaultInjector {
   std::vector<bool> crash_fired_;            // parallel to plan_.crashes
   Stats stats_;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  obs::Counter* injected_total_ = nullptr;
-  obs::Counter* outage_rejections_ = nullptr;
-  obs::Counter* crash_counter_ = nullptr;
-  std::array<obs::Counter*, kFaultOpCount> injected_by_op_{};
   int fault_track_ = -1;
 };
 

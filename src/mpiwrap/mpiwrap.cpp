@@ -5,14 +5,6 @@
 
 namespace e10::mpiwrap {
 
-namespace {
-/// Mirror a WrapStats bump into the shared registry (wrapper operations are
-/// rare — one per open/close — so the name lookup is fine here).
-void bump(adio::IoContext* ctx, const char* name) {
-  ctx->metrics.counter(std::string("mpiwrap.") + name).increment();
-}
-}  // namespace
-
 Result<Mpiwrap> Mpiwrap::create(adio::IoContext& ctx,
                                 const std::string& config_text) {
   auto config = Config::parse(config_text);
@@ -28,7 +20,6 @@ const ConfigSection* Mpiwrap::section_for(const std::string& path) const {
 Result<mpiio::File> Mpiwrap::open(mpi::Comm comm, const std::string& path,
                                   int mode, const mpi::Info& user_info) {
   ++stats_.opens;
-  bump(ctx_, "opens");
   const ConfigSection* section = section_for(path);
 
   // The paper's workflow trick: the previous file of this family is really
@@ -38,7 +29,6 @@ Result<mpiio::File> Mpiwrap::open(mpi::Comm comm, const std::string& path,
     const auto it = deferred_.find(section->name());
     if (it != deferred_.end()) {
       ++stats_.delayed_real_closes;
-      bump(ctx_, "delayed_real_closes");
       Deferred pending = std::move(it->second);
       deferred_.erase(it);
       deferred_pattern_of_path_.erase(pending.path);
@@ -54,7 +44,6 @@ Result<mpiio::File> Mpiwrap::open(mpi::Comm comm, const std::string& path,
       if (key == "deferred_close") continue;  // wrapper-level, not a hint
       info.set(key, value);
       ++stats_.hint_injections;
-      bump(ctx_, "hint_injections");
     }
   }
   info.merge(user_info);  // user-provided hints win
@@ -87,20 +76,16 @@ Status Mpiwrap::close(mpiio::File file) {
       // An older sibling is still pending (shouldn't happen with the
       // paper's one-file-at-a-time workflow): close it for real first.
       ++stats_.delayed_real_closes;
-      bump(ctx_, "delayed_real_closes");
       Deferred old = std::move(it->second);
       deferred_pattern_of_path_.erase(old.path);
       it->second = Deferred{std::move(file), opened_path};
       ++stats_.deferred_closes;
-      bump(ctx_, "deferred_closes");
       return old.file.close();
     }
     ++stats_.deferred_closes;
-    bump(ctx_, "deferred_closes");
     return Status::ok();
   }
   ++stats_.immediate_closes;
-  bump(ctx_, "immediate_closes");
   return file.close();
 }
 
@@ -108,7 +93,6 @@ Status Mpiwrap::finalize() {
   Status status = Status::ok();
   for (auto& [pattern, pending] : deferred_) {
     ++stats_.finalize_closes;
-    bump(ctx_, "finalize_closes");
     const Status closed = pending.file.close();
     if (status.is_ok()) status = closed;
   }

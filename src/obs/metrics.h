@@ -93,6 +93,14 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        std::vector<std::int64_t> bounds);
 
+  /// Brings counter `name` up to a layer's own running total: a layer that
+  /// keeps its totals publishes them at report time. Idempotent, so
+  /// publishing again does not double-count.
+  void publish(const std::string& name, std::int64_t total) {
+    Counter& published = counter(name);
+    published.add(total - published.value());
+  }
+
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
@@ -167,15 +175,14 @@ inline constexpr const char* kCacheDegraded = "cache.degraded";
 inline constexpr const char* kCacheRecoveredExtents = "cache.recover.extents";
 inline constexpr const char* kCacheRecoveredBytes = "cache.recover.bytes";
 /// Flush scheduler (cache::FlushScheduler, docs/flush_scheduler.md):
-/// request coalescing — batches drained from the inbox, the sync requests
-/// they carried, and the stripe-aligned dispatch writes they collapsed to
-/// (coalesce ratio = members / dispatches, 1.0 when nothing merged) — and
-/// the multi-stream drain's virtual-time split of the in-flight durable
-/// write service time into hidden (overlapped staging reads / other
-/// streams) and stalled (the completion loop waited on the oldest stream).
+/// request coalescing — batches drained from the inbox and the sync
+/// requests they carried (the stripe-aligned writes they collapsed to are
+/// kSyncChunks) — and the multi-stream drain's virtual-time split of the
+/// in-flight durable write service time into hidden (overlapped staging
+/// reads / other streams) and stalled (the completion loop waited on the
+/// oldest stream).
 inline constexpr const char* kSyncBatches = "cache.sync.coalesce.batches";
 inline constexpr const char* kSyncBatchMembers = "cache.sync.coalesce.members";
-inline constexpr const char* kSyncDispatches = "cache.sync.coalesce.dispatches";
 inline constexpr const char* kSyncStreamWriteNs = "cache.sync.streams.write_ns";
 inline constexpr const char* kSyncStreamHiddenNs =
     "cache.sync.streams.hidden_ns";

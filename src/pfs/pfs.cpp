@@ -40,10 +40,7 @@ Pfs::Pfs(sim::Engine& engine, net::Fabric& fabric,
 
 void Pfs::set_metrics(obs::MetricsRegistry* metrics) {
   server_counters_.clear();
-  if (metrics == nullptr) {
-    lock_waits_ = lock_wait_ns_ = lock_handoffs_ = nullptr;
-    return;
-  }
+  if (metrics == nullptr) return;
   server_counters_.reserve(params_.data_servers);
   for (std::size_t i = 0; i < params_.data_servers; ++i) {
     const std::string prefix = "pfs.server." + std::to_string(i);
@@ -51,9 +48,6 @@ void Pfs::set_metrics(obs::MetricsRegistry* metrics) {
         ServerCounters{&metrics->counter(prefix + ".requests"),
                        &metrics->counter(prefix + ".bytes")});
   }
-  lock_waits_ = &metrics->counter(obs::names::kLockWaits);
-  lock_wait_ns_ = &metrics->counter(obs::names::kLockWaitNs);
-  lock_handoffs_ = &metrics->counter(obs::names::kLockHandoffs);
 }
 
 void Pfs::set_fault_injector(fault::FaultInjector* fault) {
@@ -88,11 +82,16 @@ Status Pfs::check_data_faults(const OpenFile& file, const Inode& inode,
   return Status::ok();
 }
 
-void Pfs::export_device_metrics(obs::MetricsRegistry& registry) const {
+void Pfs::export_metrics(obs::MetricsRegistry& registry) const {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     devices_[i]->snapshot_metrics(
         registry, "pfs.server." + std::to_string(i) + ".device");
   }
+  registry.publish(obs::names::kLockWaits,
+                   static_cast<std::int64_t>(stats_.lock_waits));
+  registry.publish(obs::names::kLockWaitNs, stats_.lock_wait_time);
+  registry.publish(obs::names::kLockHandoffs,
+                   static_cast<std::int64_t>(stats_.lock_handoffs));
 }
 
 Time Pfs::metadata_roundtrip(std::size_t client_node, Time now) {
@@ -263,15 +262,10 @@ Result<Time> Pfs::write_async_impl(FileHandle handle, Offset offset,
       if (lock->holder != ~std::size_t{0} && !held) {
         granted += params_.lock_handoff_penalty;
         ++stats_.lock_handoffs;
-        if (lock_handoffs_ != nullptr) lock_handoffs_->increment();
       }
       if (granted > cpu_done) {
         ++stats_.lock_waits;
         stats_.lock_wait_time += granted - cpu_done;
-        if (lock_waits_ != nullptr) {
-          lock_waits_->increment();
-          lock_wait_ns_->add(granted - cpu_done);
-        }
         // Overlay for the critical-path analyzer: this slice of the write's
         // service latency was stripe-lock wait, not media time.
         if (sim::CausalObserver* causal = engine_.causal_observer();

@@ -152,14 +152,15 @@ class Pfs {
   std::size_t open_handles() const { return handles_.size(); }
 
   /// Attaches a metrics sink (or detaches with nullptr). Per-server
-  /// request/byte counters ("pfs.server.<i>.*") and the lock-contention
-  /// counters are resolved once here so the per-chunk hot path only
-  /// dereferences cached pointers.
+  /// request/byte counters ("pfs.server.<i>.*") are resolved once here so
+  /// the per-chunk hot path only dereferences cached pointers.
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  /// Snapshots every data server's device totals into `registry`
-  /// ("pfs.server.<i>.device.*"); idempotent, meant for report time.
-  void export_device_metrics(obs::MetricsRegistry& registry) const;
+  /// Publishes the totals the PFS keeps itself into `registry`: every data
+  /// server's device totals ("pfs.server.<i>.device.*") and the stripe-lock
+  /// contention of PfsStats ("pfs.lock.*"). Idempotent, meant for report
+  /// time.
+  void export_metrics(obs::MetricsRegistry& registry) const;
 
   /// Attaches the fault injector (or detaches with nullptr): per-op
   /// transient failures, hard outage rejections at the chunk targets, and
@@ -231,9 +232,6 @@ class Pfs {
     obs::Counter* bytes = nullptr;
   };
   std::vector<ServerCounters> server_counters_;
-  obs::Counter* lock_waits_ = nullptr;
-  obs::Counter* lock_wait_ns_ = nullptr;
-  obs::Counter* lock_handoffs_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
 };
 

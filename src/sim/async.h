@@ -10,6 +10,7 @@
 // the write-pipeline analogue of the sync thread's flush-overlap ratio.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/units.h"
@@ -22,22 +23,27 @@ struct JoinOutcome {
   Time stall = 0;   // service time the joiner had to wait out
 };
 
+/// Splits the service interval [issued, done) of an operation joined at
+/// `join_at` into a hidden part (already elapsed at join time) and a stall
+/// part (still ahead of the joiner).
+inline JoinOutcome split_join(Time issued, Time done, Time join_at) {
+  if (done < issued) done = issued;
+  if (join_at < issued) join_at = issued;
+  JoinOutcome outcome;
+  outcome.hidden = std::min(join_at, done) - issued;
+  outcome.stall = done - issued - outcome.hidden;
+  return outcome;
+}
+
 class OverlapAccumulator {
  public:
   /// Records the join of an operation issued at `issued` with completion
-  /// time `done`, joined at `join_at` (issued <= join_at). The service
-  /// interval [issued, done) splits into a hidden part (already elapsed at
-  /// join time) and a stall part (still ahead of the joiner).
+  /// time `done`, joined at `join_at` (issued <= join_at); see split_join.
   JoinOutcome on_join(Time issued, Time done, Time join_at) {
-    JoinOutcome outcome;
-    if (done < issued) done = issued;
-    if (join_at < issued) join_at = issued;
-    const Time service = done - issued;
-    outcome.hidden = join_at >= done ? service : join_at - issued;
-    outcome.stall = service - outcome.hidden;
+    const JoinOutcome outcome = split_join(issued, done, join_at);
     ++joins_;
     if (outcome.stall > 0) ++stalls_;
-    service_ += service;
+    service_ += outcome.hidden + outcome.stall;
     hidden_ += outcome.hidden;
     stall_ += outcome.stall;
     return outcome;

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "common/units.h"
 
@@ -51,30 +50,6 @@ class ResourceTimeline {
   Time next_free_ = 0;
   std::uint64_t reservations_ = 0;
   Time busy_ = 0;
-};
-
-/// A resource with `lanes` identical parallel service channels (e.g. a
-/// storage server with several independent targets); each reservation takes
-/// the earliest-free lane.
-class MultiLaneTimeline {
- public:
-  explicit MultiLaneTimeline(std::size_t lanes) : lanes_(lanes) {
-    if (lanes == 0) throw std::logic_error("MultiLaneTimeline with 0 lanes");
-  }
-
-  Time reserve(Time now, Time service) {
-    auto it = std::min_element(lanes_.begin(), lanes_.end(),
-                               [](const ResourceTimeline& a,
-                                  const ResourceTimeline& b) {
-                                 return a.next_free() < b.next_free();
-                               });
-    return it->reserve(now, service);
-  }
-
-  std::size_t lanes() const { return lanes_.size(); }
-
- private:
-  std::vector<ResourceTimeline> lanes_;
 };
 
 }  // namespace e10::sim

@@ -1,6 +1,5 @@
 #include "sim/sync.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "sim/concurrency.h"
@@ -54,45 +53,6 @@ void SimMutex::unlock() {
   locked_ = false;
 }
 
-void SimCondVar::wait(SimMutex& mutex) {
-  waiters_.push_back(engine_.current());
-  mutex.unlock();
-  engine_.block("SimCondVar::wait");
-  mutex.lock();
-}
-
-void SimCondVar::notify_one() {
-  if (waiters_.empty()) return;
-  const ProcessId next = waiters_.front();
-  waiters_.pop_front();
-  engine_.make_ready(next, engine_.now());
-}
-
-void SimCondVar::notify_all() {
-  while (!waiters_.empty()) notify_one();
-}
-
-void SimSemaphore::acquire() {
-  if (count_ > 0) {
-    --count_;
-    return;
-  }
-  waiters_.push_back(engine_.current());
-  engine_.block("SimSemaphore::acquire");
-}
-
-void SimSemaphore::release(std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!waiters_.empty()) {
-      const ProcessId next = waiters_.front();
-      waiters_.pop_front();
-      engine_.make_ready(next, engine_.now());
-    } else {
-      ++count_;
-    }
-  }
-}
-
 void SimEvent::set() { set_at(engine_.now()); }
 
 void SimEvent::set_at(Time at) {
@@ -110,28 +70,6 @@ void SimEvent::wait() {
   }
   waiters_.push_back(engine_.current());
   engine_.block("SimEvent::wait");
-}
-
-void SimBarrier::arrive_and_wait() {
-  if (participants_ == 0) {
-    throw std::logic_error("SimBarrier with zero participants");
-  }
-  max_arrival_ = std::max(max_arrival_, engine_.now());
-  if (arrived_.size() + 1 < participants_) {
-    arrived_.push_back(engine_.current());
-    const std::uint64_t my_generation = generation_;
-    engine_.block("SimBarrier::arrive_and_wait");
-    (void)my_generation;
-    return;
-  }
-  // Last arriver releases everyone at the max arrival time.
-  const Time release_at = max_arrival_;
-  std::vector<ProcessId> to_release;
-  to_release.swap(arrived_);
-  max_arrival_ = 0;
-  ++generation_;
-  for (const ProcessId w : to_release) engine_.make_ready(w, release_at);
-  engine_.advance_to(release_at);
 }
 
 }  // namespace e10::sim

@@ -1,5 +1,5 @@
-// Blocking primitives for simulated processes: mutex, condition variable,
-// semaphore, one-shot event, and cyclic barrier — all in virtual time.
+// Blocking primitives for simulated processes: mutex and one-shot event,
+// both in virtual time.
 //
 // SimMutex carries Clang thread-safety annotations (E10_CAPABILITY et al.,
 // common/thread_safety.h) so state guarded by a simulated mutex can be
@@ -8,7 +8,6 @@
 // the runtime lockset checker sees it too.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,6 @@ class E10_CAPABILITY("mutex") SimMutex {
   const std::string& name() const { return name_; }
 
  private:
-  friend class SimCondVar;
   Engine& engine_;
   std::string name_;
   bool locked_ = false;
@@ -52,41 +50,6 @@ class E10_SCOPED_CAPABILITY SimLock {
 
  private:
   SimMutex& mutex_;
-};
-
-/// Condition variable over SimMutex. Wakes are FIFO; as with std::condition_
-/// variable, users must re-check their predicate in a loop.
-class SimCondVar {
- public:
-  explicit SimCondVar(Engine& engine) : engine_(engine) {}
-  SimCondVar(const SimCondVar&) = delete;
-  SimCondVar& operator=(const SimCondVar&) = delete;
-
-  void wait(SimMutex& mutex) E10_REQUIRES(mutex);
-  void notify_one();
-  void notify_all();
-
- private:
-  Engine& engine_;
-  Fifo<ProcessId> waiters_;
-};
-
-/// Counting semaphore; FIFO grants.
-class SimSemaphore {
- public:
-  SimSemaphore(Engine& engine, std::int64_t initial)
-      : engine_(engine), count_(initial) {}
-  SimSemaphore(const SimSemaphore&) = delete;
-  SimSemaphore& operator=(const SimSemaphore&) = delete;
-
-  void acquire();
-  void release(std::int64_t n = 1);
-  std::int64_t available() const { return count_; }
-
- private:
-  Engine& engine_;
-  std::int64_t count_;
-  Fifo<ProcessId> waiters_;
 };
 
 /// One-shot completion event carrying a completion time. A completer may set
@@ -120,30 +83,6 @@ class SimEvent {
   bool set_ = false;
   Time at_ = 0;
   std::vector<ProcessId> waiters_;
-};
-
-/// Cyclic barrier for a fixed participant count. All participants leave at
-/// the maximum arrival time — precisely the "bottlenecked by the slowest
-/// process" semantics of MPI synchronizing collectives.
-class SimBarrier {
- public:
-  SimBarrier(Engine& engine, std::size_t participants)
-      : engine_(engine), participants_(participants) {}
-  SimBarrier(const SimBarrier&) = delete;
-  SimBarrier& operator=(const SimBarrier&) = delete;
-
-  /// Blocks until `participants` processes have arrived; returns with the
-  /// caller's clock at the max arrival time. Reusable (cyclic).
-  void arrive_and_wait();
-
-  std::size_t participants() const { return participants_; }
-
- private:
-  Engine& engine_;
-  std::size_t participants_;
-  std::vector<ProcessId> arrived_;
-  Time max_arrival_ = 0;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace e10::sim

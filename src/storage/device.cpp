@@ -100,15 +100,12 @@ Time Device::submit(Time now, IoKind kind, Offset offset, Offset size) {
 
 void Device::snapshot_metrics(obs::MetricsRegistry& registry,
                               const std::string& prefix) const {
-  const auto set = [&registry](const std::string& name, std::int64_t total) {
-    obs::Counter& counter = registry.counter(name);
-    counter.add(total - counter.value());
-  };
-  set(prefix + ".requests", static_cast<std::int64_t>(requests()));
-  set(prefix + ".busy_ns", busy_time());
-  set(prefix + ".bytes_written", bytes_written_);
-  set(prefix + ".bytes_read", bytes_read_);
-  set(prefix + ".stream_misses", static_cast<std::int64_t>(stream_misses_));
+  registry.publish(prefix + ".requests", static_cast<std::int64_t>(requests()));
+  registry.publish(prefix + ".busy_ns", busy_time());
+  registry.publish(prefix + ".bytes_written", bytes_written_);
+  registry.publish(prefix + ".bytes_read", bytes_read_);
+  registry.publish(prefix + ".stream_misses",
+                   static_cast<std::int64_t>(stream_misses_));
 }
 
 }  // namespace e10::storage

@@ -184,7 +184,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     result.sync_stream_overlap_ratio =
         stream_write_ns > 0 ? stream_hidden_ns / stream_write_ns : 0.0;
   }
-  platform.pfs.export_device_metrics(platform.metrics);
+  // Layers that keep their own totals publish them once, here.
+  platform.pfs.export_metrics(platform.metrics);
+  platform.faults.export_metrics(platform.metrics);
 
   obs::RunReportInputs inputs;
   inputs.config.emplace_back("combo", result.combo);
@@ -258,7 +260,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       metrics.counter_value(names::kSyncStreamStalls));
   if (!spec.faults.empty()) {
     // Fault-scenario summary: the plan and what it actually did. The full
-    // per-op counters are already in the metrics snapshot (fault.*).
+    // per-op counters are in the metrics snapshot (fault.*).
     inputs.config.emplace_back("fault_plan", spec.faults.summary());
     const fault::FaultInjector::Stats& fstats = platform.faults.stats();
     inputs.derived["fault_injected"] = static_cast<double>(fstats.injected);

@@ -58,7 +58,7 @@ Platform::Platform(const TestbedParams& params)
             params.mpi),
       params_(params) {
   pfs.set_metrics(&metrics);
-  faults.set_observability(&metrics, &tracer);
+  faults.set_observability(&tracer);
   pfs.set_fault_injector(&faults);
   for (std::size_t node = 0; node < params.compute_nodes; ++node) {
     lfs.at(node).set_fault_injector(&faults);

@@ -16,7 +16,7 @@ TEST(Hints, DefaultsMatchRomio) {
   EXPECT_EQ(h.cb_buffer_size, 16 * MiB);
   EXPECT_EQ(h.cb_nodes, 0);  // one aggregator per node
   EXPECT_EQ(h.e10_cache, CacheMode::disable);
-  EXPECT_EQ(h.e10_cache_flush_flag, FlushFlag::flush_immediate);
+  EXPECT_EQ(h.e10_cache_flush_flag, cache::FlushPolicy::immediate);
   EXPECT_EQ(h.ind_wr_buffer_size, 512 * KiB);  // paper §IV fixes this value
 }
 
@@ -43,7 +43,7 @@ TEST(Hints, ParsesTableTwo) {
   const Hints h = Hints::parse(info).value();
   EXPECT_EQ(h.e10_cache, CacheMode::coherent);
   EXPECT_EQ(h.e10_cache_path, "/scratch/e10");
-  EXPECT_EQ(h.e10_cache_flush_flag, FlushFlag::flush_onclose);
+  EXPECT_EQ(h.e10_cache_flush_flag, cache::FlushPolicy::onclose);
   EXPECT_FALSE(h.e10_cache_discard);
   EXPECT_EQ(h.ind_wr_buffer_size, 1 * MiB);
 }
@@ -89,7 +89,7 @@ TEST(Hints, RoundTripThroughInfo) {
   const Hints again = Hints::parse(h.to_info()).value();
   EXPECT_EQ(again.e10_cache, CacheMode::enable);
   EXPECT_EQ(again.cb_buffer_size, 8 * MiB);
-  EXPECT_EQ(again.e10_cache_flush_flag, FlushFlag::flush_onclose);
+  EXPECT_EQ(again.e10_cache_flush_flag, cache::FlushPolicy::onclose);
 }
 
 TEST(Hints, TwoLevelFlagParsesAndEchoes) {
@@ -114,7 +114,8 @@ TEST(Hints, TwoLevelFlagParsesAndEchoes) {
 TEST(Hints, TbwFlushNoneParses) {
   mpi::Info info;
   info.set("e10_cache_flush_flag", "none");
-  EXPECT_EQ(Hints::parse(info).value().e10_cache_flush_flag, FlushFlag::none);
+  EXPECT_EQ(Hints::parse(info).value().e10_cache_flush_flag,
+            cache::FlushPolicy::none);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ struct Fixture {
     p.cache_path = "/scratch/global.cache.0";
     p.flush = flush;
     p.coherent = coherent;
-    p.staging_bytes = 512 * KiB;
+    p.drain.staging_bytes = 512 * KiB;
     p.alloc_chunk = 4 * MiB;
     return p;
   }
@@ -183,7 +183,7 @@ TEST(CacheFile, StagingChunksFollowIndWrBufferSize) {
   f.run([&] {
     const auto handle = f.open_global();
     auto params = f.params(FlushPolicy::immediate);
-    params.staging_bytes = 256 * KiB;
+    params.drain.staging_bytes = 256 * KiB;
     auto cache = CacheFile::open(f.engine, f.local_fs, f.pfs, handle, params,
                                  &f.locks);
     ASSERT_TRUE(cache.value()->write({0, 1 * MiB}, pattern(1 * MiB)));

@@ -73,7 +73,7 @@ TEST(FlushResume, RequeuedRequestCoalescedLaterNeverResendsDurableBytes) {
     // neighbour are queued together: the requeued remainder must coalesce
     // with the neighbour on the second pass.
     p.flush = FlushPolicy::onclose;
-    p.staging_bytes = 512 * KiB;
+    p.drain.staging_bytes = 512 * KiB;
     p.alloc_chunk = 4 * MiB;
     p.retry.max_attempts = 1;
     p.retry.max_requeues = 4;

@@ -46,7 +46,7 @@ struct Fixture {
     p.global_path = "/pfs/global";
     p.cache_path = "/scratch/global.cache.0";
     p.flush = flush;
-    p.staging_bytes = 512 * KiB;
+    p.drain.staging_bytes = 512 * KiB;
     p.alloc_chunk = 4 * MiB;
     return p;
   }

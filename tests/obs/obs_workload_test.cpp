@@ -12,7 +12,10 @@
 #include <vector>
 
 #include "common/units.h"
+#include "fault/fault_injector.h"
+#include "mpiio/file.h"
 #include "obs/json.h"
+#include "pfs/pfs.h"
 #include "support/quick_point.h"
 #include "workloads/experiment.h"
 #include "workloads/workload.h"
@@ -305,6 +308,118 @@ TEST(ObsWorkload, OutageRunLeavesNoDanglingSpans) {
       fault::FaultPlan::parse("outage=0@1ms-50ms; seed=3").value();
   const ExperimentResult result = run_experiment(spec, tiny_ior());
   EXPECT_EQ(result.trace_open_spans, 0u);
+}
+
+/// The totals the PFS and the fault injector keep themselves, copied when
+/// run_experiment destroys its workload: after the report is built, before
+/// the platform goes.
+struct LayerTotals {
+  pfs::PfsStats pfs;
+  fault::FaultInjector::Stats faults;
+  bool read = false;
+};
+
+class TotalsProbe final : public Workload {
+ public:
+  TotalsProbe(std::unique_ptr<Workload> inner, LayerTotals* out)
+      : inner_(std::move(inner)), out_(out) {}
+  TotalsProbe(const TotalsProbe&) = delete;
+  TotalsProbe& operator=(const TotalsProbe&) = delete;
+  ~TotalsProbe() override {
+    if (ctx_ == nullptr) return;
+    out_->pfs = ctx_->pfs.stats();
+    out_->faults = ctx_->fault.stats();
+    out_->read = true;
+  }
+
+  std::string name() const override { return inner_->name(); }
+  Offset bytes_per_rank(const mpi::Comm& comm) const override {
+    return inner_->bytes_per_rank(comm);
+  }
+  Status write_file(mpiio::File& file, const mpi::Comm& comm,
+                    int file_index) const override {
+    ctx_ = file.raw()->ctx;
+    return inner_->write_file(file, comm, file_index);
+  }
+
+ private:
+  std::unique_ptr<Workload> inner_;
+  LayerTotals* out_;
+  mutable adio::IoContext* ctx_ = nullptr;
+};
+
+WorkloadFactory probed(WorkloadFactory inner, LayerTotals* out) {
+  return [inner = std::move(inner), out](const TestbedParams& testbed) {
+    return std::make_unique<TotalsProbe>(inner(testbed), out);
+  };
+}
+
+std::int64_t report_counter(const ExperimentResult& result,
+                            const std::string& name) {
+  return result.report.at("metrics").at("counters").at(name).as_int();
+}
+
+TEST(ObsWorkload, ReportPublishesThePfsLockTotals) {
+  // `bench_sweep flashio --quick --files=2` at 2_4m, cache disabled: the
+  // two aggregators' writes wait on, and take over, each other's stripe
+  // locks.
+  LayerTotals totals;
+  const ExperimentResult result = run_experiment(
+      quick_flashio_spec(2, 4 * MiB, CacheCase::disabled, 2),
+      probed([](const TestbedParams&) {
+        return std::make_unique<FlashIoWorkload>();
+      }, &totals));
+  ASSERT_TRUE(totals.read);
+  ASSERT_GT(totals.pfs.lock_waits, 0u);
+  ASSERT_GT(totals.pfs.lock_handoffs, 0u);
+  EXPECT_EQ(report_counter(result, "pfs.lock.waits"),
+            static_cast<std::int64_t>(totals.pfs.lock_waits));
+  EXPECT_EQ(report_counter(result, "pfs.lock.wait_ns"),
+            totals.pfs.lock_wait_time);
+  EXPECT_EQ(report_counter(result, "pfs.lock.handoffs"),
+            static_cast<std::int64_t>(totals.pfs.lock_handoffs));
+}
+
+TEST(ObsWorkload, ReportPublishesTheFaultTotals) {
+  // docs/fault_tolerance.md's example: `bench_sweep collperf --quick
+  // --combos=4_4m --cases=enabled` (4 files) under transient write faults
+  // and a server outage.
+  ExperimentSpec spec = quick_collperf_spec(4, 4 * MiB, CacheCase::enabled, 4);
+  spec.faults =
+      fault::FaultPlan::parse("pfs_write=2%/timed_out; outage=1@1s-2s; seed=7")
+          .value();
+  LayerTotals totals;
+  const ExperimentResult result =
+      run_experiment(spec, probed(quick_collperf(), &totals));
+  ASSERT_TRUE(totals.read);
+  const fault::FaultInjector::Stats& faults = totals.faults;
+  ASSERT_GT(faults.injected, 0);
+  ASSERT_GT(faults.outage_rejections, 0);
+  EXPECT_EQ(report_counter(result, "fault.injected"), faults.injected);
+  EXPECT_EQ(report_counter(result, "fault.outage_rejections"),
+            faults.outage_rejections);
+  EXPECT_EQ(report_counter(result, "fault.crashes"), faults.crashes);
+  std::int64_t by_op = 0;
+  for (int op = 0; op < fault::kFaultOpCount; ++op) {
+    const std::int64_t injected =
+        faults.injected_by_op[static_cast<std::size_t>(op)];
+    EXPECT_EQ(report_counter(result,
+                             std::string("fault.") +
+                                 fault::fault_op_name(
+                                     static_cast<fault::FaultOp>(op)) +
+                                 ".injected"),
+              injected);
+    by_op += injected;
+  }
+  EXPECT_EQ(by_op, faults.injected);
+
+  // Without a plan the injector publishes nothing.
+  const ExperimentResult clean = run_experiment(
+      small_spec(CacheCase::enabled, milliseconds(100)), tiny_ior());
+  for (const auto& [name, value] :
+       clean.report.at("metrics").at("counters").members()) {
+    EXPECT_FALSE(name.starts_with("fault.")) << name;
+  }
 }
 
 TEST(ObsWorkload, TracingOffByDefault) {

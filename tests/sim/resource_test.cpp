@@ -45,18 +45,5 @@ TEST(ResourceTimeline, NegativeServiceThrows) {
   EXPECT_THROW(r.reserve(0, -1), std::logic_error);
 }
 
-TEST(MultiLaneTimeline, ParallelLanesAbsorbBurst) {
-  MultiLaneTimeline r(2);
-  // Two requests at t=0 land on different lanes.
-  EXPECT_EQ(r.reserve(0, milliseconds(10)), milliseconds(10));
-  EXPECT_EQ(r.reserve(0, milliseconds(10)), milliseconds(10));
-  // Third queues behind the earliest-free lane.
-  EXPECT_EQ(r.reserve(0, milliseconds(10)), milliseconds(20));
-}
-
-TEST(MultiLaneTimeline, ZeroLanesThrows) {
-  EXPECT_THROW(MultiLaneTimeline r(0), std::logic_error);
-}
-
 }  // namespace
 }  // namespace e10::sim

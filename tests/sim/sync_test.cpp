@@ -57,98 +57,6 @@ TEST(SimMutex, UnlockWhileUnlockedThrows) {
   EXPECT_THROW(eng.run(), std::logic_error);
 }
 
-TEST(SimCondVar, ProducerConsumer) {
-  Engine eng;
-  SimMutex mu(eng);
-  SimCondVar cv(eng);
-  bool flag = false;
-  Time consumer_woke = -1;
-  eng.spawn("consumer", [&] {
-    SimLock lock(mu);
-    while (!flag) cv.wait(mu);
-    consumer_woke = eng.now();
-  });
-  eng.spawn("producer", [&] {
-    eng.delay(seconds(1));
-    SimLock lock(mu);
-    flag = true;
-    cv.notify_one();
-  });
-  eng.run();
-  EXPECT_EQ(consumer_woke, seconds(1));
-}
-
-TEST(SimCondVar, NotifyAllWakesEveryone) {
-  Engine eng;
-  SimMutex mu(eng);
-  SimCondVar cv(eng);
-  bool go = false;
-  int woke = 0;
-  for (int i = 0; i < 5; ++i) {
-    eng.spawn("w" + std::to_string(i), [&] {
-      SimLock lock(mu);
-      while (!go) cv.wait(mu);
-      ++woke;
-    });
-  }
-  eng.spawn("waker", [&] {
-    eng.delay(milliseconds(1));
-    SimLock lock(mu);
-    go = true;
-    cv.notify_all();
-  });
-  eng.run();
-  EXPECT_EQ(woke, 5);
-}
-
-TEST(SimCondVar, NotifyWithNoWaitersIsNoop) {
-  Engine eng;
-  SimMutex mu(eng);
-  SimCondVar cv(eng);
-  eng.spawn("p", [&] {
-    cv.notify_one();
-    cv.notify_all();
-  });
-  eng.run();
-}
-
-TEST(SimSemaphore, LimitsConcurrency) {
-  Engine eng;
-  SimSemaphore sem(eng, 2);
-  int inside = 0;
-  int max_inside = 0;
-  for (int i = 0; i < 6; ++i) {
-    eng.spawn("p" + std::to_string(i), [&] {
-      sem.acquire();
-      ++inside;
-      max_inside = std::max(max_inside, inside);
-      eng.delay(milliseconds(1));
-      --inside;
-      sem.release();
-    });
-  }
-  eng.run();
-  EXPECT_EQ(max_inside, 2);
-}
-
-TEST(SimSemaphore, ReleaseManyWakesMany) {
-  Engine eng;
-  SimSemaphore sem(eng, 0);
-  int acquired = 0;
-  for (int i = 0; i < 3; ++i) {
-    eng.spawn("a" + std::to_string(i), [&] {
-      sem.acquire();
-      ++acquired;
-    });
-  }
-  eng.spawn("releaser", [&] {
-    eng.delay(milliseconds(1));
-    sem.release(3);
-  });
-  eng.run();
-  EXPECT_EQ(acquired, 3);
-}
-
 TEST(SimEvent, WaitBeforeSet) {
   Engine eng;
   SimEvent ev(eng);
@@ -201,42 +109,6 @@ TEST(SimEvent, DoubleSetThrows) {
     ev.set();
   });
   EXPECT_THROW(eng.run(), std::logic_error);
-}
-
-TEST(SimBarrier, AllLeaveAtMaxArrival) {
-  Engine eng;
-  SimBarrier barrier(eng, 3);
-  std::vector<Time> leave_times;
-  for (int i = 0; i < 3; ++i) {
-    eng.spawn("p" + std::to_string(i), [&, i] {
-      eng.delay(seconds(i + 1));  // arrive at 1, 2, 3 s
-      barrier.arrive_and_wait();
-      leave_times.push_back(eng.now());
-    });
-  }
-  eng.run();
-  ASSERT_EQ(leave_times.size(), 3u);
-  for (const Time t : leave_times) EXPECT_EQ(t, seconds(3));
-}
-
-TEST(SimBarrier, CyclicReuse) {
-  Engine eng;
-  SimBarrier barrier(eng, 2);
-  std::vector<Time> checkpoints;
-  for (int i = 0; i < 2; ++i) {
-    eng.spawn("p" + std::to_string(i), [&, i] {
-      for (int round = 0; round < 3; ++round) {
-        eng.delay(milliseconds(i == 0 ? 1 : 5));
-        barrier.arrive_and_wait();
-        if (i == 0) checkpoints.push_back(eng.now());
-      }
-    });
-  }
-  eng.run();
-  ASSERT_EQ(checkpoints.size(), 3u);
-  EXPECT_EQ(checkpoints[0], milliseconds(5));
-  EXPECT_EQ(checkpoints[1], milliseconds(10));
-  EXPECT_EQ(checkpoints[2], milliseconds(15));
 }
 
 }  // namespace
