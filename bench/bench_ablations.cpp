@@ -8,11 +8,12 @@
 //   A7 standard vs modified (deferred-close) workflow — the Fig. 3 change
 //
 // Flags: --quick for the scaled-down testbed, --files=N (default 4). Each
-// ablation pins the parameters the paper used except the one it varies.
+// ablation pins the parameters the paper used except the one it varies;
+// every case is one ExperimentSpec run through run_experiment.
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "obs/report.h"
+#include "obs/metrics.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -21,85 +22,51 @@ using namespace e10;
 using namespace e10::units;
 using namespace e10::workloads;
 
-struct Knobs {
-  int aggregators;
-  Offset cb;
-  int files;
-  Time compute;
-  TestbedParams testbed;
-};
-
-ExperimentResult run_case(const Knobs& knobs, CacheCase cache_case,
-                          const std::string& base_path,
-                          void (*tweak)(WorkflowParams&, mpi::Info&)) {
+/// The IOR case each ablation varies: the paper's parameters at the chosen
+/// scale, cache enabled, every file's residual close counted.
+ExperimentSpec base_spec(const bench::Options& options,
+                         const std::string& base_path) {
   ExperimentSpec spec;
-  spec.testbed = knobs.testbed;
-  spec.aggregators = knobs.aggregators;
-  spec.cb_buffer_size = knobs.cb;
-  spec.cache_case = cache_case;
+  spec.testbed = bench::testbed_for(options.quick);
+  spec.aggregators = options.quick ? 16 : 64;
+  spec.cb_buffer_size = 4 * MiB;
+  spec.cache_case = CacheCase::enabled;
   spec.workflow.base_path = base_path;
-  spec.workflow.num_files = knobs.files;
-  spec.workflow.compute_delay = knobs.compute;
+  spec.workflow.num_files = options.files;
+  spec.workflow.compute_delay = bench::compute_delay_for(options.quick);
   spec.workflow.include_last_phase = true;
-
-  Platform platform(spec.testbed);
-  IorWorkload workload;
-  WorkflowParams workflow = spec.workflow;
-  workflow.hints = experiment_hints(spec);
-  workflow.deferred_close = cache_case != CacheCase::disabled;
-  if (tweak != nullptr) tweak(workflow, workflow.hints);
-
-  ExperimentResult result;
-  result.combo = combo_label(spec);
-  result.cache_case = cache_case;
-  result.workflow = run_workflow(platform, workload, workflow);
-  result.bandwidth_gib = result.workflow.bandwidth_gib;
-  for (std::size_t p = 0; p < prof::kPhaseCount; ++p) {
-    const auto phase = static_cast<prof::Phase>(p);
-    result.breakdown[phase] =
-        obs::max_over_ranks(platform.tracer.phase_totals(), phase);
-  }
-  return result;
+  return spec;
 }
 
-Knobs default_knobs(const bench::Options& options) {
-  Knobs knobs;
-  knobs.testbed = bench::testbed_for(options.quick);
-  knobs.aggregators = options.quick ? 16 : 64;
-  knobs.cb = 4 * MiB;
-  knobs.files = options.files;
-  knobs.compute = bench::compute_delay_for(options.quick);
-  return knobs;
+ExperimentResult run(const ExperimentSpec& spec) {
+  return run_experiment(spec, [](const TestbedParams&) {
+    return std::make_unique<IorWorkload>();
+  });
+}
+
+double not_hidden_sync_s(const ExperimentResult& result) {
+  return units::to_seconds(result.breakdown.at(prof::Phase::not_hidden_sync));
 }
 
 void ablation_filedomains(const bench::Options& options) {
   std::printf("\n## A1: file-domain partitioning (even vs stripe-aligned)\n");
   std::printf("%-22s %12s %14s %14s\n", "driver", "BW [GiB/s]", "lock_waits",
               "lock_handoffs");
-  Knobs knobs = default_knobs(options);
+  ExperimentSpec spec = base_spec(options, "");
   // A non-power-of-two aggregator count makes the even (ufs) split land
   // mid-stripe, so neighbouring aggregators false-share stripes; the
   // beegfs driver aligns domains and avoids it (paper footnote 1).
-  knobs.aggregators = options.quick ? 6 : 24;
+  spec.aggregators = options.quick ? 6 : 24;
+  spec.cache_case = CacheCase::disabled;
+  spec.workflow.include_last_phase = false;
   for (const char* driver : {"ufs", "beegfs"}) {
-    Platform platform(knobs.testbed);
-    IorWorkload workload;
-    ExperimentSpec spec;
-    spec.testbed = knobs.testbed;
-    spec.aggregators = knobs.aggregators;
-    spec.cb_buffer_size = knobs.cb;
-    spec.cache_case = CacheCase::disabled;
-    WorkflowParams workflow;
-    workflow.base_path = std::string(driver) + ":/pfs/a1";
-    workflow.num_files = knobs.files;
-    workflow.compute_delay = knobs.compute;
-    workflow.deferred_close = false;
-    workflow.hints = experiment_hints(spec);
-    const WorkflowResult result = run_workflow(platform, workload, workflow);
+    spec.workflow.base_path = std::string(driver) + ":/pfs/a1";
+    const ExperimentResult result = run(spec);
     std::printf("%-22s %12.2f %14llu %14llu\n", driver, result.bandwidth_gib,
-                static_cast<unsigned long long>(platform.pfs.stats().lock_waits),
                 static_cast<unsigned long long>(
-                    platform.pfs.stats().lock_handoffs));
+                    bench::report_counter(result, obs::names::kLockWaits)),
+                static_cast<unsigned long long>(
+                    bench::report_counter(result, obs::names::kLockHandoffs)));
     std::fflush(stdout);
   }
 }
@@ -108,18 +75,12 @@ void ablation_flushpolicy(const bench::Options& options) {
   std::printf("\n## A2: flush policy (immediate vs onclose)\n");
   std::printf("%-22s %12s %18s\n", "e10_cache_flush_flag", "BW [GiB/s]",
               "not_hidden_sync [s]");
-  const Knobs knobs = default_knobs(options);
-  static const char* flush_flag;
+  ExperimentSpec spec = base_spec(options, "/pfs/a2");
   for (const char* flag : {"flush_immediate", "flush_onclose"}) {
-    flush_flag = flag;
-    const auto result = run_case(
-        knobs, CacheCase::enabled, "/pfs/a2",
-        [](WorkflowParams&, mpi::Info& hints) {
-          hints.set("e10_cache_flush_flag", flush_flag);
-        });
+    spec.workflow.hints.set("e10_cache_flush_flag", flag);
+    const ExperimentResult result = run(spec);
     std::printf("%-22s %12.2f %18.2f\n", flag, result.bandwidth_gib,
-                units::to_seconds(
-                    result.breakdown.at(prof::Phase::not_hidden_sync)));
+                not_hidden_sync_s(result));
     std::fflush(stdout);
   }
 }
@@ -128,19 +89,12 @@ void ablation_syncbuffer(const bench::Options& options) {
   std::printf("\n## A3: ind_wr_buffer_size (sync staging granularity)\n");
   std::printf("%-22s %12s %18s\n", "ind_wr_buffer_size", "BW [GiB/s]",
               "not_hidden_sync [s]");
-  const Knobs knobs = default_knobs(options);
-  static Offset buffer_bytes;
+  ExperimentSpec spec = base_spec(options, "/pfs/a3");
   for (const Offset size : {64 * KiB, 256 * KiB, 512 * KiB, 2 * MiB, 8 * MiB}) {
-    buffer_bytes = size;
-    const auto result = run_case(
-        knobs, CacheCase::enabled, "/pfs/a3",
-        [](WorkflowParams&, mpi::Info& hints) {
-          hints.set("ind_wr_buffer_size", std::to_string(buffer_bytes));
-        });
+    spec.workflow.hints.set("ind_wr_buffer_size", std::to_string(size));
+    const ExperimentResult result = run(spec);
     std::printf("%-22s %12.2f %18.2f\n", format_bytes(size).c_str(),
-                result.bandwidth_gib,
-                units::to_seconds(
-                    result.breakdown.at(prof::Phase::not_hidden_sync)));
+                result.bandwidth_gib, not_hidden_sync_s(result));
     std::fflush(stdout);
   }
 }
@@ -149,19 +103,19 @@ void ablation_aggratio(const bench::Options& options) {
   std::printf("\n## A4: aggregator / node ratio vs sync hiding\n");
   std::printf("%-12s %12s %18s %14s\n", "aggregators", "BW [GiB/s]",
               "not_hidden_sync [s]", "TBW [GiB/s]");
-  Knobs knobs = default_knobs(options);
-  const int max_aggs = static_cast<int>(knobs.testbed.compute_nodes);
+  ExperimentSpec spec = base_spec(options, "");
+  const int max_aggs = static_cast<int>(spec.testbed.compute_nodes);
   for (int aggregators = max_aggs / 8; aggregators <= max_aggs;
        aggregators *= 2) {
-    knobs.aggregators = aggregators;
-    const auto enabled = run_case(knobs, CacheCase::enabled, "/pfs/a4",
-                                  nullptr);
-    const auto tbw = run_case(knobs, CacheCase::theoretical, "/pfs/a4t",
-                              nullptr);
+    spec.aggregators = aggregators;
+    spec.cache_case = CacheCase::enabled;
+    spec.workflow.base_path = "/pfs/a4";
+    const ExperimentResult enabled = run(spec);
+    spec.cache_case = CacheCase::theoretical;
+    spec.workflow.base_path = "/pfs/a4t";
+    const ExperimentResult tbw = run(spec);
     std::printf("%-12d %12.2f %18.2f %14.2f\n", aggregators,
-                enabled.bandwidth_gib,
-                units::to_seconds(
-                    enabled.breakdown.at(prof::Phase::not_hidden_sync)),
+                enabled.bandwidth_gib, not_hidden_sync_s(enabled),
                 tbw.bandwidth_gib);
     std::fflush(stdout);
   }
@@ -171,17 +125,16 @@ void ablation_computedelay(const bench::Options& options) {
   std::printf("\n## A5: compute delay sweep (Eq. 1 crossover)\n");
   std::printf("%-14s %12s %18s\n", "compute [s]", "BW [GiB/s]",
               "not_hidden_sync [s]");
-  Knobs knobs = default_knobs(options);
+  ExperimentSpec spec = base_spec(options, "/pfs/a5");
   // Few aggregators: Ts is large, so the crossover is visible.
-  knobs.aggregators = static_cast<int>(knobs.testbed.compute_nodes) / 8;
+  spec.aggregators = static_cast<int>(spec.testbed.compute_nodes) / 8;
   for (const double delay : {0.0, 7.5, 15.0, 30.0, 60.0}) {
-    knobs.compute = units::seconds_f(options.quick ? delay / 8.0 : delay);
-    const auto result = run_case(knobs, CacheCase::enabled, "/pfs/a5",
-                                 nullptr);
+    spec.workflow.compute_delay =
+        units::seconds_f(options.quick ? delay / 8.0 : delay);
+    const ExperimentResult result = run(spec);
     std::printf("%-14.1f %12.2f %18.2f\n",
-                units::to_seconds(knobs.compute), result.bandwidth_gib,
-                units::to_seconds(
-                    result.breakdown.at(prof::Phase::not_hidden_sync)));
+                units::to_seconds(spec.workflow.compute_delay),
+                result.bandwidth_gib, not_hidden_sync_s(result));
     std::fflush(stdout);
   }
 }
@@ -189,15 +142,10 @@ void ablation_computedelay(const bench::Options& options) {
 void ablation_coherent(const bench::Options& options) {
   std::printf("\n## A6: coherent mode (extent locking) overhead\n");
   std::printf("%-12s %12s\n", "e10_cache", "BW [GiB/s]");
-  const Knobs knobs = default_knobs(options);
-  static const char* cache_mode;
+  ExperimentSpec spec = base_spec(options, "/pfs/a6");
   for (const char* mode : {"enable", "coherent"}) {
-    cache_mode = mode;
-    const auto result = run_case(
-        knobs, CacheCase::enabled, "/pfs/a6",
-        [](WorkflowParams&, mpi::Info& hints) {
-          hints.set("e10_cache", cache_mode);
-        });
+    spec.workflow.hints.set("e10_cache", mode);
+    const ExperimentResult result = run(spec);
     std::printf("%-12s %12.2f\n", mode, result.bandwidth_gib);
     std::fflush(stdout);
   }
@@ -207,20 +155,13 @@ void ablation_workflow(const bench::Options& options) {
   std::printf("\n## A7: standard vs modified workflow (Fig. 3)\n");
   std::printf("%-18s %12s %18s\n", "workflow", "BW [GiB/s]",
               "not_hidden_sync [s]");
-  const Knobs knobs = default_knobs(options);
-  static bool defer;
+  ExperimentSpec spec = base_spec(options, "/pfs/a7");
   for (const bool deferred : {false, true}) {
-    defer = deferred;
-    const auto result = run_case(
-        knobs, CacheCase::enabled, "/pfs/a7",
-        [](WorkflowParams& workflow, mpi::Info&) {
-          workflow.deferred_close = defer;
-        });
+    spec.workflow.deferred_close = deferred;
+    const ExperimentResult result = run(spec);
     std::printf("%-18s %12.2f %18.2f\n",
                 deferred ? "modified(defer)" : "standard",
-                result.bandwidth_gib,
-                units::to_seconds(
-                    result.breakdown.at(prof::Phase::not_hidden_sync)));
+                result.bandwidth_gib, not_hidden_sync_s(result));
     std::fflush(stdout);
   }
 }

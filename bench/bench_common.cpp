@@ -222,4 +222,13 @@ Time compute_delay_for(bool quick) {
   return quick ? units::seconds_f(3.75) : seconds(30);
 }
 
+double report_counter(const workloads::ExperimentResult& result,
+                      const std::string& name) {
+  const obs::Json* metrics = result.report.find("metrics");
+  const obs::Json* counters =
+      metrics != nullptr ? metrics->find("counters") : nullptr;
+  const obs::Json* value = counters != nullptr ? counters->find(name) : nullptr;
+  return value != nullptr ? value->as_number() : 0.0;
+}
+
 }  // namespace e10::bench

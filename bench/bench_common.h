@@ -1,4 +1,5 @@
-// Option parser and scale rules shared by bench_sweep and bench_ablations.
+// Option parser, scale rules and report reader shared by bench_sweep and
+// bench_ablations.
 //
 // Each driver passes parse_options the set of flags it honors. An unknown
 // flag, a flag outside that set or a malformed value prints the driver's
@@ -77,5 +78,9 @@ std::vector<std::pair<int, Offset>> sweep_for(bool quick);
 
 /// Compute delay between files: the paper's 30 s, 1/8 of it at --quick.
 Time compute_delay_for(bool quick);
+
+/// Counter `name` of the run report's metrics snapshot, 0 when absent.
+double report_counter(const workloads::ExperimentResult& result,
+                      const std::string& name);
 
 }  // namespace e10::bench

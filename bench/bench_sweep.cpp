@@ -491,11 +491,6 @@ void set_findings(Json& row, const ExperimentResult& result) {
           Json::number(static_cast<double>(result.analysis_cycles)));
 }
 
-double counter_or_zero(const Json* counters, const std::string& name) {
-  const Json* value = counters != nullptr ? counters->find(name) : nullptr;
-  return value != nullptr ? value->as_number() : 0.0;
-}
-
 /// Shuffle seconds of the breakdown (max over ranks per phase): the flat
 /// path reports it all under `exchange`, the two-level path under the
 /// staged phases. Overcounts waiting hidden behind the write.
@@ -518,12 +513,6 @@ double shuffle_critical_path_seconds(const ExperimentResult& result) {
   const Json* seconds = shuffle != nullptr ? shuffle->find("s") : nullptr;
   return seconds != nullptr && seconds->is_numeric() ? seconds->as_number()
                                                      : 0.0;
-}
-
-double derived_num(const Json& report, const char* key) {
-  const Json* derived = report.find("derived");
-  const Json* value = derived != nullptr ? derived->find(key) : nullptr;
-  return value != nullptr && value->is_numeric() ? value->as_number() : 0.0;
 }
 
 // ---- The spec's tables and documents --------------------------------------
@@ -809,11 +798,11 @@ class Output {
     entry.set("shuffle_s_flat", Json::number(shuffle_seconds(flat)));
     entry.set("shuffle_s_two_level", Json::number(shuffle_seconds(two)));
     entry.set("two_level_rounds",
-              Json::number(derived_num(two.report, "two_level.rounds")));
-    entry.set("intra_bytes",
-              Json::number(derived_num(two.report, "two_level.intra_bytes")));
-    entry.set("inter_bytes",
-              Json::number(derived_num(two.report, "two_level.inter_bytes")));
+              Json::number(report_counter(two, obs::names::kTwoLevelRounds)));
+    entry.set("intra_bytes", Json::number(report_counter(
+                                 two, obs::names::kTwoLevelIntraBytes)));
+    entry.set("inter_bytes", Json::number(report_counter(
+                                 two, obs::names::kTwoLevelInterBytes)));
     entry.set("content_checksum_match", Json::boolean(match));
     entries_.push(std::move(entry));
     // Only the two-level runs go to --report: bench_compare keys points by
@@ -878,22 +867,15 @@ class Output {
                 result.content_checksum.c_str());
 
     // Per-server device attribution, straight from the exported counters.
-    const Json* metrics = result.report.find("metrics");
-    const Json* counters =
-        metrics != nullptr ? metrics->find("counters") : nullptr;
     Json servers = Json::array();
     std::printf("        %-8s %14s %10s %12s\n", "server", "bytes_written",
                 "busy_s", "bw_gib/s");
-    for (int s = 0;; ++s) {
+    for (int s = 0; s < static_cast<int>(run.spec.testbed.pfs.data_servers);
+         ++s) {
       const std::string prefix =
           "pfs.server." + std::to_string(s) + ".device.";
-      if (counters == nullptr ||
-          counters->find(prefix + "busy_ns") == nullptr) {
-        break;
-      }
-      const double busy_s =
-          counter_or_zero(counters, prefix + "busy_ns") * 1e-9;
-      const double bytes = counter_or_zero(counters, prefix + "bytes_written");
+      const double busy_s = report_counter(result, prefix + "busy_ns") * 1e-9;
+      const double bytes = report_counter(result, prefix + "bytes_written");
       const double bw_gib =
           busy_s > 0 ? bytes / static_cast<double>(GiB) / busy_s : 0.0;
       std::printf("        %-8d %14.0f %10.3f %12.3f\n", s, bytes, busy_s,
@@ -906,11 +888,11 @@ class Output {
       servers.push(std::move(server));
     }
 
-    const double lock_waits = counter_or_zero(counters, "pfs.lock.waits");
+    const double lock_waits = report_counter(result, obs::names::kLockWaits);
     const double lock_wait_s =
-        counter_or_zero(counters, "pfs.lock.wait_ns") * 1e-9;
+        report_counter(result, obs::names::kLockWaitNs) * 1e-9;
     const double lock_handoffs =
-        counter_or_zero(counters, "pfs.lock.handoffs");
+        report_counter(result, obs::names::kLockHandoffs);
     std::printf(
         "        locks: %.0f waits, %.3f s total wait, %.0f handoffs\n",
         lock_waits, lock_wait_s, lock_handoffs);

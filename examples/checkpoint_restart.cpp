@@ -33,18 +33,17 @@ void run_configuration(bool cached) {
   spec.workflow.compute_delay = seconds(20);
   spec.workflow.include_last_phase = true;
 
-  workloads::Platform platform(spec.testbed);
-  // Flash-like checkpoint content, ~10 blocks per rank.
-  // ~7.4 GiB per checkpoint: big enough that sustained media bandwidth,
-  // not the servers' write-back RAM, decides the outcome.
-  workloads::FlashIoWorkload::Params params;
-  params.blocks_per_proc = 80;
-  const workloads::FlashIoWorkload workload(params);
-
-  workloads::WorkflowParams workflow = spec.workflow;
-  workflow.hints = workloads::experiment_hints(spec);
-  workflow.deferred_close = cached;
-  const auto result = run_workflow(platform, workload, workflow);
+  // Flash-like checkpoint content, 80 blocks per rank: ~7.4 GiB per
+  // checkpoint, big enough that sustained media bandwidth, not the
+  // servers' write-back RAM, decides the outcome. The harness defers each
+  // close only when the cache is enabled (the modified workflow).
+  const workloads::ExperimentResult experiment = workloads::run_experiment(
+      spec, [](const workloads::TestbedParams&) {
+        workloads::FlashIoWorkload::Params params;
+        params.blocks_per_proc = 80;
+        return std::make_unique<workloads::FlashIoWorkload>(params);
+      });
+  const workloads::WorkflowResult& result = experiment.workflow;
 
   std::printf("\n%s:\n", cached ? "E10 cache enabled (modified workflow)"
                                 : "cache disabled (standard workflow)");

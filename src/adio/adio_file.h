@@ -101,6 +101,7 @@ Status set_view(AdioFile& fd, Offset disp, std::optional<mpi::FlatType> type);
 /// Contiguous write at an absolute file offset. Routes to the cache file
 /// when the cache layer is active, creating the background sync request;
 /// falls back to a direct PFS write when the cache cannot take the data.
+/// The blocking form of iwrite_contig: same route, joined at completion.
 Status write_contig(AdioFile& fd, Offset offset, const DataView& data);
 
 /// Contiguous read at an absolute offset. Reads are served by the global
@@ -122,7 +123,7 @@ struct [[nodiscard]] WriteHandle {
   Offset bytes = 0;
 };
 
-/// Nonblocking contiguous write at an absolute file offset: same routing as
+/// Nonblocking contiguous write at an absolute file offset: the routing of
 /// write_contig (cache first, PFS write-through fallback), but the caller's
 /// clock does not advance to the device completion — join through the
 /// returned handle before reusing the source buffer. The written content is
@@ -150,5 +151,10 @@ Result<std::vector<DataView>> read_strided(AdioFile& fd,
 
 /// Splits "driver:path" into (driver, bare path).
 std::pair<Driver, std::string> parse_driver_path(const std::string& path);
+
+/// The cache file open_coll creates for `rank` of the global file `path`
+/// (bare, no driver prefix) in the directory `cache_dir` (e10_cache_path).
+std::string cache_file_name(const std::string& cache_dir,
+                            const std::string& path, int rank);
 
 }  // namespace e10::adio

@@ -3,6 +3,26 @@
 
 namespace e10::adio {
 
+namespace {
+
+/// The one ADIOI_GEN_WriteContig route: the cache file when the cache layer
+/// is active, a PFS write-through when it is off or cannot take the data.
+/// Charges no device time to the caller; returns the completion time.
+Result<Time> route_contig(AdioFile& fd, Offset offset, const DataView& data) {
+  if (fd.cache != nullptr) {
+    const auto cached = fd.cache->iwrite(Extent{offset, data.size()}, data);
+    if (cached.is_ok()) return cached;
+    // Cache cannot take the data (e.g. the scratch partition filled up):
+    // fall back to a direct global-file write so no data is lost.
+    log::warn("adio", "cache write failed (", cached.status().to_string(),
+              "), writing through to the global file");
+    fd.ctx->metrics.counter(obs::names::kCacheFallbackWrites).increment();
+  }
+  return fd.ctx->pfs.write_async(fd.handle, offset, data);
+}
+
+}  // namespace
+
 Status write_contig(AdioFile& fd, Offset offset, const DataView& data) {
   if (offset < 0) {
     return Status::error(Errc::invalid_argument, "write_contig: offset < 0");
@@ -11,18 +31,10 @@ Status write_contig(AdioFile& fd, Offset offset, const DataView& data) {
 
   obs::Span phase(fd.ctx->tracer, fd.rank(), prof::Phase::write_contig);
   phase.arg("bytes", static_cast<std::int64_t>(data.size()));
-
-  if (fd.cache != nullptr) {
-    const Status cached =
-        fd.cache->write(Extent{offset, data.size()}, data);
-    if (cached.is_ok()) return Status::ok();
-    // Cache cannot take the data (e.g. the scratch partition filled up):
-    // fall back to a direct global-file write so no data is lost.
-    log::warn("adio", "cache write failed (", cached.to_string(),
-              "), writing through to the global file");
-    fd.ctx->metrics.counter(obs::names::kCacheFallbackWrites).increment();
-  }
-  return fd.ctx->pfs.write(fd.handle, offset, data);
+  const Result<Time> done = route_contig(fd, offset, data);
+  if (!done.is_ok()) return done.status();
+  fd.ctx->engine.advance_to(done.value());
+  return Status::ok();
 }
 
 WriteHandle iwrite_contig(AdioFile& fd, Offset offset, const DataView& data) {
@@ -37,28 +49,12 @@ WriteHandle iwrite_contig(AdioFile& fd, Offset offset, const DataView& data) {
   }
   if (data.empty()) return handle;
 
-  std::optional<Time> done;
-  if (fd.cache != nullptr) {
-    const auto cached = fd.cache->iwrite(Extent{offset, data.size()}, data);
-    if (cached.is_ok()) {
-      done = cached.value();
-    } else {
-      // Cache cannot take the data: write through to the global file so no
-      // data is lost, same as the blocking path.
-      log::warn("adio", "cache write failed (", cached.status().to_string(),
-                "), writing through to the global file");
-      fd.ctx->metrics.counter(obs::names::kCacheFallbackWrites).increment();
-    }
+  const Result<Time> done = route_contig(fd, offset, data);
+  if (!done.is_ok()) {
+    handle.status = done.status();
+    return handle;
   }
-  if (!done) {
-    const auto direct = fd.ctx->pfs.write_async(fd.handle, offset, data);
-    if (!direct.is_ok()) {
-      handle.status = direct.status();
-      return handle;
-    }
-    done = direct.value();
-  }
-  handle.done = *done;
+  handle.done = done.value();
   handle.request = mpi::Request::grequest(fd.ctx->engine);
   handle.request.complete_at(handle.done);
   return handle;

@@ -9,21 +9,17 @@
 
 namespace e10::adio {
 
-namespace {
-
-std::string cache_file_name(const Hints& hints, const std::string& path,
-                            int rank) {
-  std::string base = path;
-  std::replace(base.begin(), base.end(), '/', '_');
-  return hints.e10_cache_path + "/" + base + ".cache." + std::to_string(rank);
-}
-
-}  // namespace
-
 std::pair<Driver, std::string> parse_driver_path(const std::string& path) {
   if (path.starts_with("ufs:")) return {Driver::ufs, path.substr(4)};
   if (path.starts_with("beegfs:")) return {Driver::beegfs, path.substr(7)};
   return {Driver::ufs, path};
+}
+
+std::string cache_file_name(const std::string& cache_dir,
+                            const std::string& path, int rank) {
+  std::string base = path;
+  std::replace(base.begin(), base.end(), '/', '_');
+  return cache_dir + "/" + base + ".cache." + std::to_string(rank);
 }
 
 Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
@@ -135,7 +131,8 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
       (mode & amode::rdonly) == 0) {
     cache::CacheFileParams params;
     params.global_path = fd->path;
-    params.cache_path = cache_file_name(fd->hints, fd->path, comm.rank());
+    params.cache_path = cache_file_name(fd->hints.e10_cache_path, fd->path,
+                                        comm.rank());
     params.rank = comm.rank();
     params.metrics = &ctx.metrics;
     params.tracer = &ctx.tracer;

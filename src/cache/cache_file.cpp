@@ -158,8 +158,14 @@ bool CacheFile::crash_now(bool in_flush) {
   return params_.fault->crash_due(params_.rank, engine_.now(), in_flush);
 }
 
-Result<bool> CacheFile::begin_append(const Extent& global,
-                                     const DataView& data) {
+Status CacheFile::write(const Extent& global, const DataView& data) {
+  const Result<Time> done = iwrite(global, data);
+  if (!done.is_ok()) return done.status();
+  engine_.advance_to(done.value());
+  return Status::ok();
+}
+
+Result<Time> CacheFile::iwrite(const Extent& global, const DataView& data) {
   if (closed_) {
     return Status::error(Errc::invalid_argument, "cache file closed");
   }
@@ -180,7 +186,7 @@ Result<bool> CacheFile::begin_append(const Extent& global,
     return Status::error(Errc::invalid_argument,
                          "cache write: extent/data size mismatch");
   }
-  if (data.empty()) return false;
+  if (data.empty()) return engine_.now();
 
   if (const Status s = ensure_allocated(append_cursor_ + data.size());
       !s.is_ok()) {
@@ -189,18 +195,29 @@ Result<bool> CacheFile::begin_append(const Extent& global,
   if (params_.coherent) {
     locks_->lock(params_.global_path, global);
   }
-  return true;
-}
-
-Status CacheFile::abort_append(const Extent& global, const Status& failed) {
-  note_device_error(failed.code());
-  if (params_.coherent) locks_->unlock(params_.global_path, global);
-  return failed;
-}
-
-void CacheFile::finish_append(const Extent& global, Offset cache_offset) {
+  // A failed device write counts towards quarantine and drops the lock.
+  const auto fail = [&](const Status& failed) {
+    note_device_error(failed.code());
+    if (params_.coherent) locks_->unlock(params_.global_path, global);
+    return failed;
+  };
+  const Offset cache_offset = append_cursor_;
+  const auto written = local_fs_.write_async(cache_handle_, cache_offset, data);
+  if (!written.is_ok()) return fail(written.status());
+  Time completion = written.value();
+  // Journal before the extent becomes visible: an extent the journal does
+  // not cover cannot be replayed after a crash, so a failed append fails
+  // the cache write and the caller writes through to the global file. The
+  // sidecar append shares the device's FIFO timeline, so the completion
+  // time covers both the data and its journal record.
   std::uint64_t seq = 0;
   if (journaling()) {
+    const WriteRecord record{next_seq_, global.offset, global.length,
+                             cache_offset};
+    const auto appended = local_fs_.write_async(
+        journal_handle_, journal_cursor_, encode_write_record(record));
+    if (!appended.is_ok()) return fail(appended.status());
+    completion = std::max(completion, appended.value());
     seq = next_seq_++;
     journal_cursor_ += kWriteRecordBytes;
   }
@@ -219,7 +236,7 @@ void CacheFile::finish_append(const Extent& global, Offset cache_offset) {
   if (params_.flush == FlushPolicy::none) {
     // Theoretical-bandwidth mode: data stays in the cache.
     if (params_.coherent) locks_->unlock(params_.global_path, global);
-    return;
+    return completion;
   }
 
   SyncRequest request;
@@ -234,48 +251,6 @@ void CacheFile::finish_append(const Extent& global, Offset cache_offset) {
   } else {
     deferred_.push_back(std::move(request));
   }
-}
-
-Status CacheFile::write(const Extent& global, const DataView& data) {
-  const Result<bool> begun = begin_append(global, data);
-  if (!begun.is_ok() || !begun.value()) return begun.status();
-  const Offset cache_offset = append_cursor_;
-  const Status written = local_fs_.write(cache_handle_, cache_offset, data);
-  if (!written.is_ok()) return abort_append(global, written);
-  // Journal before the extent becomes visible: an extent the journal does
-  // not cover cannot be replayed after a crash, so a failed append fails
-  // the cache write and the caller writes through to the global file.
-  if (journaling()) {
-    const WriteRecord record{next_seq_, global.offset, global.length,
-                             cache_offset};
-    const Status appended = local_fs_.write(journal_handle_, journal_cursor_,
-                                            encode_write_record(record));
-    if (!appended.is_ok()) return abort_append(global, appended);
-  }
-  finish_append(global, cache_offset);
-  return Status::ok();
-}
-
-Result<Time> CacheFile::iwrite(const Extent& global, const DataView& data) {
-  const Result<bool> begun = begin_append(global, data);
-  if (!begun.is_ok()) return begun.status();
-  if (!begun.value()) return engine_.now();
-  const Offset cache_offset = append_cursor_;
-  const auto written = local_fs_.write_async(cache_handle_, cache_offset, data);
-  if (!written.is_ok()) return abort_append(global, written.status());
-  Time completion = written.value();
-  // Journal before the extent becomes visible (same rule as write()); the
-  // sidecar append shares the device's FIFO timeline, so the completion
-  // time covers both the data and its journal record.
-  if (journaling()) {
-    const WriteRecord record{next_seq_, global.offset, global.length,
-                             cache_offset};
-    const auto appended = local_fs_.write_async(
-        journal_handle_, journal_cursor_, encode_write_record(record));
-    if (!appended.is_ok()) return abort_append(global, appended.status());
-    completion = std::max(completion, appended.value());
-  }
-  finish_append(global, cache_offset);
   return completion;
 }
 

@@ -99,20 +99,19 @@ class CacheFile {
   CacheFile& operator=(const CacheFile&) = delete;
 
   /// Writes `data` for global-file extent `global` into the cache and
-  /// creates the sync request. In coherent mode the extent is locked until
-  /// the sync thread makes it persistent. Fails fast once the local device
-  /// is quarantined — the caller falls back to a direct global write.
-  Status write(const Extent& global, const DataView& data);
-
-  /// Nonblocking variant of write(): identical validation, bookkeeping and
-  /// sync-request creation, but the local-device time is not charged to the
-  /// caller — the returned completion time says when the cache (and, with
-  /// journaling, the journal sidecar) has the data and the source buffer
-  /// may be reused. The sync thread's staging reads serialize after the
-  /// in-flight write on the device's FIFO timeline, so dispatching the sync
-  /// request at issue time is safe. Callers join via a generalized request
-  /// completed at the returned time (adio::iwrite_contig).
+  /// creates the sync request, without charging the local-device time to
+  /// the caller: the returned completion time says when the cache (and,
+  /// with journaling, the journal sidecar) has the data and the source
+  /// buffer may be reused. The sync thread's staging reads serialize after
+  /// the in-flight write on the device's FIFO timeline, so the sync request
+  /// is dispatched (or deferred, per the flush policy) at issue time. In
+  /// coherent mode the extent is locked until the sync thread makes it
+  /// persistent. Fails fast once the local device is quarantined — the
+  /// caller falls back to a direct global write.
   Result<Time> iwrite(const Extent& global, const DataView& data);
+
+  /// Blocking write: iwrite() joined at its completion time.
+  Status write(const Extent& global, const DataView& data);
 
   /// Serves a read from the cache if (and only if) the extent is fully
   /// covered by data this cache holds; returns nullopt otherwise. Charges
@@ -161,7 +160,6 @@ class CacheFile {
   }
 
   const SyncStats& sync_stats() const { return sync_->stats(); }
-  std::size_t outstanding_requests() const { return outstanding_.size(); }
   const CacheFileParams& params() const { return params_; }
   bool closed() const { return closed_; }
   bool crashed() const { return crashed_; }
@@ -176,18 +174,6 @@ class CacheFile {
             lfs::FileHandle journal_handle, lfs::FileHandle commits_handle);
 
   Status ensure_allocated(Offset needed_end);
-  /// write()/iwrite() up to the device: the checks, the allocation and, in
-  /// coherent mode, the extent lock. Returns true when `data` is to be
-  /// appended at append_cursor_, false for an empty write (nothing to do),
-  /// or the error the caller returns.
-  Result<bool> begin_append(const Extent& global, const DataView& data);
-  /// A device write after begin_append failed: counts `failed` towards
-  /// quarantine, drops the extent lock and returns `failed`.
-  Status abort_append(const Extent& global, const Status& failed);
-  /// write()/iwrite() after the data and its journal record reached the
-  /// device: sequence number, cursors, stats, the extent map, and the sync
-  /// request, dispatched now or deferred per the flush policy.
-  void finish_append(const Extent& global, Offset cache_offset);
   /// Quarantine bookkeeping for a failed local-device operation.
   void note_device_error(Errc code);
   bool crash_now(bool in_flush);

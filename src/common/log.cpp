@@ -45,11 +45,6 @@ Level parse_env() {
   return Level::warn;
 }
 
-std::atomic<Level>& level_storage() {
-  static std::atomic<Level> storage{parse_env()};
-  return storage;
-}
-
 constexpr const char* level_name(Level l) {
   switch (l) {
     case Level::error: return "error";
@@ -63,10 +58,9 @@ constexpr const char* level_name(Level l) {
 
 }  // namespace
 
-Level level() { return level_storage().load(std::memory_order_relaxed); }
-
-void set_level(Level l) {
-  level_storage().store(l, std::memory_order_relaxed);
+Level level() {
+  static const Level parsed = parse_env();
+  return parsed;
 }
 
 bool enabled(Level l) { return static_cast<int>(l) <= static_cast<int>(level()); }

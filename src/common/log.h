@@ -18,9 +18,6 @@ enum class Level { error = 0, warn = 1, info = 2, debug = 3, trace = 4 };
 /// The process-wide log level (initialized from E10_LOG on first use).
 Level level();
 
-/// Overrides the level (tests).
-void set_level(Level l);
-
 bool enabled(Level l);
 
 /// Level check plus the E10_LOG_COMPONENTS allowlist. error/warn lines

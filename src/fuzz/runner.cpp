@@ -55,11 +55,9 @@ mpi::Info info_for(const Scenario& s) {
   return info;
 }
 
-/// The cache-file naming scheme of adio::open_coll (cache_file_name).
+/// The cache file adio::open_coll gives `rank` of the fuzzed file.
 std::string cache_path_for_rank(int rank) {
-  std::string base = kGlobalPath;
-  std::replace(base.begin(), base.end(), '/', '_');
-  return std::string(kCacheDir) + "/" + base + ".cache." + std::to_string(rank);
+  return adio::cache_file_name(kCacheDir, kGlobalPath, rank);
 }
 
 /// Reference model: every piece applied to a plain ByteStore.

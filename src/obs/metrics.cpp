@@ -92,12 +92,6 @@ const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 std::int64_t MetricsRegistry::counter_value(const std::string& name) const {
   const Counter* c = find_counter(name);
   return c == nullptr ? 0 : c->value();

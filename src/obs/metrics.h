@@ -103,7 +103,6 @@ class MetricsRegistry {
 
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
 
   /// Counter value, 0 when the counter was never touched.
   std::int64_t counter_value(const std::string& name) const;

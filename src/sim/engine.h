@@ -230,12 +230,6 @@ class Engine {
   /// Number of processes whose body has not yet returned.
   std::size_t live_processes() const { return live_; }
 
-  /// Total processes ever spawned (diagnostics / tests).
-  std::size_t spawned_processes() const { return process_count_; }
-
-  /// Count of fiber switches performed (diagnostics / micro-bench).
-  std::uint64_t switch_count() const { return switches_; }
-
   /// Deterministic scheduler counters (see EngineStats). Safe to read at
   /// any point; typically sampled after run() returns.
   EngineStats stats() const {

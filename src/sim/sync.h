@@ -74,8 +74,6 @@ class SimEvent {
   void wait();
 
   bool is_set() const { return set_; }
-  /// Completion time; only meaningful once is_set().
-  Time completion_time() const { return at_; }
   Engine& engine() const { return engine_; }
 
  private:

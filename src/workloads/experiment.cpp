@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "adio/adio_file.h"
 #include "analysis/checker.h"
 #include "obs/causal.h"
 #include "obs/critical_path.h"
@@ -29,8 +30,9 @@ std::string content_fingerprint(const pfs::Pfs& pfs,
       hash *= kPrime;
     }
   };
+  const std::string base = adio::parse_driver_path(workflow.base_path).second;
   for (int k = 0; k < workflow.num_files; ++k) {
-    const std::string path = workflow.base_path + "_" + std::to_string(k);
+    const std::string path = base + "_" + std::to_string(k);
     const ByteStore* store = pfs.peek(path);
     if (store == nullptr) {
       mix(0);
@@ -102,6 +104,8 @@ mpi::Info experiment_hints(const ExperimentSpec& spec) {
       info.set("e10_cache_discard_flag", "enable");
       break;
   }
+  // Hints the caller set on the workflow override the derived ones.
+  info.merge(spec.workflow.hints);
   return info;
 }
 
@@ -128,7 +132,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   workflow.hints = experiment_hints(spec);
   // The modified workflow (deferred close) only matters when the cache is
   // in play; the baseline uses the classic close-then-compute workflow.
-  workflow.deferred_close = spec.cache_case != CacheCase::disabled;
+  workflow.deferred_close =
+      spec.workflow.deferred_close && spec.cache_case != CacheCase::disabled;
 
   ExperimentResult result;
   result.combo = combo_label(spec);
@@ -241,46 +246,20 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     inputs.derived["write_round.stalls"] = static_cast<double>(
         metrics.counter_value(names::kPipelineStalls));
   }
-  if (spec.two_level) {
-    // Two-level exchange traffic split (docs/two_level.md): how much of the
-    // shuffle moved over shared memory instead of the NICs.
-    inputs.derived["two_level.rounds"] = static_cast<double>(
-        metrics.counter_value(names::kTwoLevelRounds));
-    inputs.derived["two_level.intra_bytes"] = static_cast<double>(
-        metrics.counter_value(names::kTwoLevelIntraBytes));
-    inputs.derived["two_level.inter_bytes"] = static_cast<double>(
-        metrics.counter_value(names::kTwoLevelInterBytes));
-  }
   inputs.derived["sync.coalesce_ratio"] = result.sync_coalesce_ratio;
   inputs.derived["sync.flush_bandwidth_gib"] =
       result.sync_flush_bandwidth_gib;
   inputs.derived["sync.streams.overlap_ratio"] =
       result.sync_stream_overlap_ratio;
-  inputs.derived["sync.streams.stalls"] = static_cast<double>(
-      metrics.counter_value(names::kSyncStreamStalls));
   if (!spec.faults.empty()) {
-    // Fault-scenario summary: the plan and what it actually did. The full
-    // per-op counters are in the metrics snapshot (fault.*).
+    // The plan; what it did is in the metrics snapshot (fault.*).
     inputs.config.emplace_back("fault_plan", spec.faults.summary());
-    const fault::FaultInjector::Stats& fstats = platform.faults.stats();
-    inputs.derived["fault_injected"] = static_cast<double>(fstats.injected);
-    inputs.derived["fault_outage_rejections"] =
-        static_cast<double>(fstats.outage_rejections);
-    inputs.derived["fault_crashes"] = static_cast<double>(fstats.crashes);
-    inputs.derived["sync_retries"] =
-        static_cast<double>(result.sync.retries);
-    inputs.derived["sync_abandoned"] =
-        static_cast<double>(result.sync.abandoned);
   }
   if (checker != nullptr) {
     const analysis::AnalysisSummary analysis = checker->summary();
     result.analysis_races = analysis.races.size();
     result.analysis_cycles = analysis.cycles.size();
     result.analysis_shared_accesses = analysis.shared_accesses;
-    inputs.derived["analysis_races"] =
-        static_cast<double>(result.analysis_races);
-    inputs.derived["analysis_lock_order_cycles"] =
-        static_cast<double>(result.analysis_cycles);
     inputs.analysis = checker->to_json();
   }
   result.report = obs::run_report_json(inputs);

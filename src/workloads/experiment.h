@@ -33,7 +33,11 @@ struct ExperimentSpec {
   int aggregators = 64;          // cb_nodes
   Offset cb_buffer_size = 4 * units::MiB;
   CacheCase cache_case = CacheCase::disabled;
-  WorkflowParams workflow;       // hints field is filled by the harness
+  /// The workflow as run: its `hints` entries override the ones the spec
+  /// derives (experiment_hints), and `deferred_close` holds only while the
+  /// cache is enabled — the uncached baseline always closes each file
+  /// before its compute phase.
+  WorkflowParams workflow;
   /// Double-buffer the collective write's round loop (e10_pipeline_flag,
   /// docs/pipeline.md); false restores the classic synchronous ext2ph
   /// round loop for ablations.
@@ -71,7 +75,8 @@ struct ExperimentSpec {
 /// "<aggregators>_<cb size>" label, e.g. "64_4m", as the paper's x axes.
 std::string combo_label(const ExperimentSpec& spec);
 
-/// The MPI-IO hints the spec translates to.
+/// The MPI-IO hints the spec translates to, with spec.workflow.hints
+/// entries overriding the derived ones.
 mpi::Info experiment_hints(const ExperimentSpec& spec);
 
 struct ExperimentResult {

@@ -129,8 +129,9 @@ TEST(SyncRetry, JitteredBackoffIsPinned) {
   // the thread's seeded generator. Three failed writes draw three delays,
   // so the end time pins the draws: a generator seeded differently, or
   // drawn from out of turn, moves it. Every other retry test turns jitter
-  // off. The value is what a build that seeded the generator at start()
-  // gives.
+  // off. The draws are those of a build that seeded the generator at
+  // start() (backoffs of 1.25, 2.35 and 4.90 ms); the blocking write hands
+  // its sync request over at issue, as iwrite does.
   Fixture f;
   f.pfs.set_fault_injector(&f.injector);
   f.injector.force_failures(fault::FaultOp::pfs_write, 3, Errc::timed_out);
@@ -146,7 +147,7 @@ TEST(SyncRetry, JitteredBackoffIsPinned) {
     ASSERT_TRUE(cache.value()->close());
   });
   EXPECT_EQ(retries, 3u);
-  EXPECT_EQ(f.engine.now(), 20109171);
+  EXPECT_EQ(f.engine.now(), 20015171);
 }
 
 TEST(SyncRetry, ExhaustedRequestIsRequeuedThenAbandoned) {

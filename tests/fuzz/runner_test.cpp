@@ -65,6 +65,10 @@ TEST(RunnerTest, CrashPointStopsRunAndRecoveryVerifies) {
   EXPECT_TRUE(result.report.stopped);
   EXPECT_GT(result.report.crash_at, 0);
   EXPECT_TRUE(result.ok()) << result.violations_text();
+  // The recovery pass and the journal byte oracle found the ranks' cache
+  // files under the names open_coll gave them: neither passed vacuously.
+  EXPECT_GT(result.report.recovered_extents, 0u);
+  EXPECT_GT(result.report.journal_extents_checked, 0u);
 }
 
 TEST(RunnerTest, ExplicitCrashTimeWinsOverFraction) {

@@ -294,10 +294,10 @@ TEST(ObsWorkload, FaultedRunLeavesNoDanglingSpans) {
           .value();
   const ExperimentResult faulted = run_experiment(quick, quick_collperf());
   EXPECT_TRUE(faulted.report.at("config").find("fault_plan") != nullptr);
-  const obs::Json& derived = faulted.report.at("derived");
-  EXPECT_GT(derived.at("fault_injected").as_number(), 0.0);
-  EXPECT_GT(derived.at("fault_outage_rejections").as_number(), 0.0);
-  EXPECT_EQ(derived.at("fault_crashes").as_number(), 0.0);
+  const obs::Json& counters = faulted.report.at("metrics").at("counters");
+  EXPECT_GT(counters.at("fault.injected").as_int(), 0);
+  EXPECT_GT(counters.at("fault.outage_rejections").as_int(), 0);
+  EXPECT_EQ(counters.at("fault.crashes").as_int(), 0);
   EXPECT_EQ(faulted.trace_open_spans, 0u);
 }
 

@@ -204,7 +204,7 @@ TEST(Engine, SwitchCountGrows) {
     });
   }
   eng.run();
-  EXPECT_GE(eng.switch_count(), 20u);
+  EXPECT_GE(eng.stats().switches, 20u);
 }
 
 TEST(Engine, LoneProcessDelaysWithoutSwitching) {
@@ -214,7 +214,7 @@ TEST(Engine, LoneProcessDelaysWithoutSwitching) {
     EXPECT_EQ(eng.now(), units::microseconds(100));
   });
   eng.run();
-  EXPECT_LE(eng.switch_count(), 2u);  // just the initial resume
+  EXPECT_LE(eng.stats().switches, 2u);  // just the initial resume
 }
 
 TEST(Engine, StopAtHaltsRunAtDeadline) {

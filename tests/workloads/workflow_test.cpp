@@ -165,5 +165,48 @@ TEST(Experiment, RunsEndToEndAtTestScale) {
   EXPECT_GT(result.breakdown.at(prof::Phase::shuffle_all2all), 0);
 }
 
+TEST(Experiment, WorkflowHintsAndCloseModeReachTheRun) {
+  // The caller's workflow hints override the spec-derived ones, and the
+  // report echoes the set the files were opened with.
+  ExperimentSpec spec;
+  spec.testbed = small_testbed();
+  spec.aggregators = 4;
+  spec.cb_buffer_size = 256 * KiB;
+  spec.cache_case = CacheCase::enabled;
+  spec.workflow.base_path = "/pfs/exp_close";
+  spec.workflow.num_files = 3;
+  spec.workflow.compute_delay = seconds(2);
+  spec.workflow.hints.set("ind_wr_buffer_size", "131072");
+  spec.workflow.hints.set("e10_cache_journal", "enable");
+  const auto factory = [](const TestbedParams&) {
+    return std::make_unique<IorWorkload>(IorWorkload::Params{256 * KiB, 2});
+  };
+  const ExperimentResult deferred = run_experiment(spec, factory);
+  const obs::Json& config = deferred.report.at("config");
+  for (const auto& [key, value] :
+       {std::pair{"hint.ind_wr_buffer_size", "131072"},
+        std::pair{"hint.e10_cache_journal", "enable"},
+        std::pair{"hint.cb_nodes", "4"}}) {
+    const obs::Json* echoed = config.find(key);
+    EXPECT_EQ(echoed != nullptr ? echoed->as_string() : "(absent)", value)
+        << key;
+  }
+
+  // Closing each file before its compute phase (the standard workflow)
+  // pays every file's flush in its residual, as the last file always does;
+  // deferred, the compute phase hides every flush but the last.
+  spec.workflow.deferred_close = false;
+  const ExperimentResult closed = run_experiment(spec, factory);
+  ASSERT_EQ(closed.workflow.phases.size(), 3u);
+  const Time last_flush = deferred.workflow.phases.back().residual_close;
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_GT(closed.workflow.phases[k].residual_close, last_flush / 2) << k;
+    if (k + 1 < 3) {
+      EXPECT_LT(deferred.workflow.phases[k].residual_close, last_flush / 10)
+          << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace e10::workloads
