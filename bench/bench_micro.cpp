@@ -1,6 +1,7 @@
 // Substrate micro-benchmarks (google-benchmark): DES engine switch and
 // spawn rates, PFS client write throughput, MPI alltoall/point-to-point
-// overheads, ByteStore appends and interleaved flush writes, and the host
+// overheads (a ping-pong, and a two-level fan-in that queues messages in
+// many lanes), ByteStore appends and interleaved flush writes, and the host
 // cost of one generic allgather and allreduce, one collective open, one
 // two-level or flat write call and one collective read call as the rank
 // count grows. These establish the simulator's own performance envelope —
@@ -120,6 +121,62 @@ void BM_MpiPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_MpiPingPong)->Unit(benchmark::kMillisecond);
+
+void BM_P2PFanIn(benchmark::State& state) {
+  // The two-level exchange's message shape, 8 ranks per node: each round,
+  // every member sends its leader a piece vector, and each leader forwards
+  // its node's pieces to an aggregator (the first quarter of the leaders).
+  // Members and leaders post their sends without waiting and race ahead
+  // through the rounds, and each aggregator spends 20 us per round, so
+  // messages queue unexpected in every lane. An item is one message.
+  const auto ranks = state.range(0);
+  constexpr int kRounds = 16;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Engine engine;
+    const auto nodes = static_cast<std::size_t>(ranks / 8);
+    net::Fabric fabric(nodes, net::FabricParams{});
+    mpi::World world(engine, fabric, mpi::Topology(nodes, 8));
+    state.ResumeTiming();
+    world.launch([](mpi::Comm comm) {
+      const int me = comm.rank();
+      const int leader = comm.node_leader(me);
+      const std::vector<int>& leaders = comm.node_leaders();
+      const std::size_t aggregators =
+          std::max<std::size_t>(1, leaders.size() / 4);
+      const std::size_t index = comm.leader_index(me);
+      std::vector<mpi::Request> sends;
+      for (int round = 0; round < kRounds; ++round) {
+        if (me != leader) {
+          sends.push_back(comm.isend(leader, 2 * round,
+                                     std::vector<int>(4, round), 4 * KiB));
+          continue;
+        }
+        std::vector<int> merged;
+        for (const int member : comm.node_ranks(comm.node())) {
+          if (member == me) continue;
+          mpi::Request gather = comm.irecv(member, 2 * round);
+          gather.wait();
+          const auto part = gather.take<std::vector<int>>();
+          merged.insert(merged.end(), part.begin(), part.end());
+        }
+        sends.push_back(comm.isend(leaders[index % aggregators], 2 * round + 1,
+                                   std::move(merged), 28 * KiB));
+        if (index >= aggregators) continue;
+        for (std::size_t l = index; l < leaders.size(); l += aggregators) {
+          mpi::Request data = comm.irecv(leaders[l], 2 * round + 1);
+          data.wait();
+          benchmark::DoNotOptimize(data.take<std::vector<int>>());
+        }
+        comm.engine().delay(microseconds(20));
+      }
+      mpi::Request::wait_all(sends);
+    });
+    engine.run();
+  }
+  state.SetItemsProcessed(state.iterations() * ranks * kRounds);
+}
+BENCHMARK(BM_P2PFanIn)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// The paper's testbed resized to `ranks` ranks, 8 per node.
 workloads::TestbedParams testbed_of(std::int64_t ranks) {

@@ -147,7 +147,7 @@ Status write_strided_coll(AdioFile& fd,
   // --- Step 3: rounds of dissemination + shuffle + write -------------------
   Status my_status = Status::ok();
   obs::Histogram& a2a_hist = ctx.metrics.histogram(
-      obs::names::kAlltoallSendBytes, obs::exponential_bounds(4096, 14));
+      obs::names::kAlltoallSendBytes, obs::byte_size_bounds());
   // Resolved only on the two-level path, so flat runs' metrics omit them.
   obs::Counter* tl_rounds = nullptr;
   obs::Counter* tl_intra_msgs = nullptr;

@@ -98,7 +98,7 @@ CacheFile::CacheFile(sim::Engine& engine, lfs::LocalFs& local_fs,
     writes_counter_ = &params.metrics->counter(obs::names::kCacheWrites);
     bytes_counter_ = &params.metrics->counter(obs::names::kCacheBytes);
     write_hist_ = &params.metrics->histogram(
-        obs::names::kCacheWriteBytesHist, obs::exponential_bounds(4096, 14));
+        obs::names::kCacheWriteBytesHist, obs::byte_size_bounds());
   }
   // Last: building the sync thread spawns its worker, which starts at the
   // clock the open (journal sidecars included) has reached.

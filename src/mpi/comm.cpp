@@ -54,7 +54,7 @@ sim::Engine& Comm::engine() const { return state_->engine(); }
 
 const std::string& Comm::name() const { return state_->name(); }
 
-Request Comm::isend(int dst, int tag, std::any payload, Offset bytes) const {
+Request Comm::isend(int dst, int tag, Payload payload, Offset bytes) const {
   return state_->isend(rank_, dst, tag, std::move(payload), bytes);
 }
 
@@ -62,7 +62,7 @@ Request Comm::irecv(int src, int tag) const {
   return state_->irecv(rank_, src, tag);
 }
 
-void Comm::send(int dst, int tag, std::any payload, Offset bytes) const {
+void Comm::send(int dst, int tag, Payload payload, Offset bytes) const {
   Request r = isend(dst, tag, std::move(payload), bytes);
   r.wait();
 }
@@ -70,15 +70,15 @@ void Comm::send(int dst, int tag, std::any payload, Offset bytes) const {
 Packet Comm::recv(int src, int tag) const {
   Request r = irecv(src, tag);
   r.wait();
-  return r.packet();
+  return r.take_packet();
 }
 
 void Comm::barrier() const {
-  (void)run_collective(Kind::barrier, std::any(), 0);
+  (void)run_collective(Kind::barrier, Payload(), 0);
 }
 
 std::shared_ptr<Comm::Sealed> Comm::run_collective(Kind kind,
-                                                   std::any contribution,
+                                                   Payload contribution,
                                                    Offset bytes) const {
   return state_->collective(rank_, kind, std::move(contribution), bytes);
 }
@@ -108,6 +108,7 @@ CommState::CommState(sim::Engine& engine, net::Fabric& fabric,
       params_(params),
       name_(std::move(name)),
       queues_(rank_nodes_.size()),
+      lane_slots_(16, nullptr),
       coll_seq_(rank_nodes_.size(), 0) {
   if (rank_nodes_.empty()) {
     throw std::logic_error("CommState with zero ranks");
@@ -154,12 +155,68 @@ const std::vector<int>& CommState::node_ranks(std::size_t node) const {
   return it != node_groups_.end() && it->node == node ? it->ranks : kNone;
 }
 
-bool CommState::matches(const PendingRecv& recv, const Packet& packet) {
-  return (recv.src == kAnySource || recv.src == packet.src) &&
-         (recv.tag == kAnyTag || recv.tag == packet.tag);
+std::size_t CommState::lane_slot(std::uint64_t key) const {
+  const std::size_t mask = lane_slots_.size() - 1;
+  std::size_t slot =
+      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+  while (lane_slots_[slot] != nullptr && lane_slots_[slot]->key != key) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
 }
 
-Request CommState::isend(int src, int dst, int tag, std::any payload,
+CommState::Lane& CommState::lane_of(int dst, int src) {
+  const auto key = static_cast<std::uint64_t>(dst) *
+                       static_cast<std::uint64_t>(size()) +
+                   static_cast<std::uint64_t>(src);
+  std::size_t slot = lane_slot(key);
+  if (lane_slots_[slot] != nullptr) return *lane_slots_[slot];
+  if (2 * (lanes_.size() + 1) > lane_slots_.size()) {
+    lane_slots_.assign(2 * lane_slots_.size(), nullptr);
+    for (Lane& lane : lanes_) lane_slots_[lane_slot(lane.key)] = &lane;
+    slot = lane_slot(key);
+  }
+  Lane& lane = lanes_.emplace_back();
+  lane.key = key;
+  lane_slots_[slot] = &lane;
+  queues_[static_cast<std::size_t>(dst)].lanes.push_back(&lane);
+  return lane;
+}
+
+namespace {
+bool tag_matches(int wanted, int tag) {
+  return wanted == kAnyTag || wanted == tag;
+}
+
+/// First element of `queue` that `accepts` takes: the front, unless a tag
+/// skips it.
+template <typename Queue, typename Accepts>
+auto first_match(Queue& queue, Accepts accepts) {
+  auto it = queue.begin();
+  while (it != queue.end() && !accepts(*it)) ++it;
+  return it;
+}
+}  // namespace
+
+void CommState::deliver(PendingMsg& msg, Request::State& recv) {
+  const Time completion = std::max(engine_.now(), msg.arrival);
+  recv.packet = std::move(msg.packet);
+  recv.has_packet = true;
+  recv.cause = msg.cause;
+  recv.done.set_at(completion);
+  if (msg.send_state != nullptr) {
+    // Rendezvous sender completes when the receiver drains the message;
+    // the receiver posting this irecv is what released it.
+    if (sim::CausalObserver* causal = engine_.causal_observer();
+        causal != nullptr && engine_.in_process()) {
+      msg.send_state->cause = causal->emit(
+          sim::EdgeKind::message, engine_.current(), engine_.now());
+    }
+    msg.send_state->done.set_at(completion);
+  }
+}
+
+Request CommState::isend(int src, int dst, int tag, Payload payload,
                          Offset bytes) {
   if (dst < 0 || dst >= size()) {
     throw std::logic_error("isend: destination rank out of range");
@@ -170,13 +227,7 @@ Request CommState::isend(int src, int dst, int tag, std::any payload,
   const net::Fabric::TransferTimes times = fabric_.transfer_times(
       node_of(src), node_of(dst), kEnvelopeBytes + bytes, now);
 
-  Packet packet;
-  packet.src = src;
-  packet.tag = tag;
-  packet.bytes = bytes;
-  packet.payload = std::move(payload);
-
-  auto send_state = std::make_shared<Request::State>(engine_);
+  std::shared_ptr<Request::State> send_state = Request::new_state(engine_);
   const bool eager = bytes <= params_.eager_threshold;
 
   // The send call is the causal source of the matched receive's completion
@@ -190,34 +241,46 @@ Request CommState::isend(int src, int dst, int tag, std::any payload,
   }
   send_state->cause = cause;
 
-  RankQueues& dst_queues = queues_[static_cast<std::size_t>(dst)];
-  // Look for an already-posted matching receive (FIFO post order).
-  for (auto it = dst_queues.posted.begin(); it != dst_queues.posted.end();
-       ++it) {
-    if (matches(*it, packet)) {
-      const Time completion = times.arrival;
-      it->state->packet = std::move(packet);
-      it->state->has_packet = true;
-      it->state->cause = cause;
-      it->state->done.set_at(completion);
-      send_state->done.set_at(eager ? times.tx_done : completion);
-      dst_queues.posted.erase(it);
-      return Request(std::move(send_state));
+  // The receive this message matches: the first one posted among its
+  // lane's first tag match and the first kAnySource tag match.
+  RankQueues& queues = queues_[static_cast<std::size_t>(dst)];
+  Lane& lane = lane_of(dst, src);
+  const auto accepts = [tag](const PendingRecv& recv) {
+    return tag_matches(recv.tag, tag);
+  };
+  const auto own = first_match(lane.posted, accepts);
+  const auto wild = first_match(queues.any_source, accepts);
+  const bool has_own = own != lane.posted.end();
+  const bool has_wild = wild != queues.any_source.end();
+  if (has_own || has_wild) {
+    const bool take_own = has_own && (!has_wild || own->seq < wild->seq);
+    Request::State& recv = *(take_own ? own : wild)->state;
+    recv.packet = Packet{src, tag, bytes, std::move(payload)};
+    recv.has_packet = true;
+    recv.cause = cause;
+    recv.done.set_at(times.arrival);
+    send_state->done.set_at(eager ? times.tx_done : times.arrival);
+    if (take_own) {
+      lane.posted.erase(own);
+    } else {
+      queues.any_source.erase(wild);
     }
+    return Request(std::move(send_state));
   }
 
   // No receive posted yet: queue as unexpected. Eager sends complete at
   // tx-done (buffered); rendezvous sends stay open until matched.
   PendingMsg msg;
-  msg.packet = std::move(packet);
+  msg.packet = Packet{src, tag, bytes, std::move(payload)};
   msg.arrival = times.arrival;
   msg.cause = cause;
+  msg.seq = queues.sends++;
   if (eager) {
     send_state->done.set_at(times.tx_done);
   } else {
     msg.send_state = send_state;
   }
-  dst_queues.unexpected.push_back(std::move(msg));
+  lane.unexpected.push_back(std::move(msg));
   return Request(std::move(send_state));
 }
 
@@ -225,33 +288,41 @@ Request CommState::irecv(int dst, int src, int tag) {
   if (src != kAnySource && (src < 0 || src >= size())) {
     throw std::logic_error("irecv: source rank out of range");
   }
-  auto recv_state = std::make_shared<Request::State>(engine_);
-  PendingRecv pending{recv_state, src, tag};
+  std::shared_ptr<Request::State> recv_state = Request::new_state(engine_);
+  RankQueues& queues = queues_[static_cast<std::size_t>(dst)];
+  const auto accepted = [tag](const PendingMsg& msg) {
+    return tag_matches(tag, msg.packet.tag);
+  };
 
-  RankQueues& my_queues = queues_[static_cast<std::size_t>(dst)];
-  for (auto it = my_queues.unexpected.begin();
-       it != my_queues.unexpected.end(); ++it) {
-    if (matches(pending, it->packet)) {
-      const Time completion = std::max(engine_.now(), it->arrival);
-      recv_state->packet = std::move(it->packet);
-      recv_state->has_packet = true;
-      recv_state->cause = it->cause;
-      recv_state->done.set_at(completion);
-      if (it->send_state != nullptr) {
-        // Rendezvous sender completes when the receiver drains the message;
-        // the receiver posting this irecv is what released it.
-        if (sim::CausalObserver* causal = engine_.causal_observer();
-            causal != nullptr && engine_.in_process()) {
-          it->send_state->cause = causal->emit(
-              sim::EdgeKind::message, engine_.current(), engine_.now());
-        }
-        it->send_state->done.set_at(completion);
-      }
-      my_queues.unexpected.erase(it);
-      return Request(std::move(recv_state));
+  if (src != kAnySource) {
+    Lane& lane = lane_of(dst, src);
+    const auto it = first_match(lane.unexpected, accepted);
+    if (it != lane.unexpected.end()) {
+      deliver(*it, *recv_state);
+      lane.unexpected.erase(it);
+    } else {
+      lane.posted.push_back(PendingRecv{recv_state, tag, queues.posts++});
+    }
+    return Request(std::move(recv_state));
+  }
+
+  // kAnySource: the earliest-sent match across this rank's lanes.
+  Lane* best = nullptr;
+  sim::Fifo<PendingMsg>::iterator best_it;
+  for (Lane* candidate : queues.lanes) {
+    const auto it = first_match(candidate->unexpected, accepted);
+    if (it != candidate->unexpected.end() &&
+        (best == nullptr || it->seq < best_it->seq)) {
+      best = candidate;
+      best_it = it;
     }
   }
-  my_queues.posted.push_back(std::move(pending));
+  if (best != nullptr) {
+    deliver(*best_it, *recv_state);
+    best->unexpected.erase(best_it);
+  } else {
+    queues.any_source.push_back(PendingRecv{recv_state, tag, queues.posts++});
+  }
   return Request(std::move(recv_state));
 }
 
@@ -346,7 +417,7 @@ void CommState::depart(CollOp& op) {
 }
 
 std::shared_ptr<Comm::Sealed> CommState::collective(int rank, Comm::Kind kind,
-                                                    std::any contribution,
+                                                    Payload contribution,
                                                     Offset bytes) {
   CollOp& op = collective_slot(rank, kind);
   if (op.arrived == 0) {
@@ -367,7 +438,7 @@ std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
   const std::uint64_t gen = coll_seq_[static_cast<std::size_t>(caller_rank)];
   const auto sealed = collective(
       caller_rank, Comm::Kind::allgather,
-      std::any(std::tuple<int, int>(color, key)), sizeof(int) * 2);
+      Payload(std::tuple<int, int>(color, key)), sizeof(int) * 2);
 
   if (color < 0) {  // MPI_UNDEFINED-style: caller not in any child
     *new_rank = -1;
@@ -377,7 +448,7 @@ std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
   // Deterministic membership: ranks with my color, ordered by (key, rank).
   std::vector<std::pair<int, int>> members;  // (key, old rank)
   for (int r = 0; r < size(); ++r) {
-    const auto [c, k] = std::any_cast<const std::tuple<int, int>&>(
+    const auto [c, k] = Comm::contribution<std::tuple<int, int>>(
         sealed->contributions[static_cast<std::size_t>(r)]);
     if (c == color) members.emplace_back(k, r);
   }
@@ -406,7 +477,7 @@ std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
 
 std::shared_ptr<CommState> CommState::dup_child(int caller_rank) {
   const std::uint64_t gen = coll_seq_[static_cast<std::size_t>(caller_rank)];
-  (void)collective(caller_rank, Comm::Kind::barrier, std::any(), 0);
+  (void)collective(caller_rank, Comm::Kind::barrier, Payload(), 0);
   auto& registry = children_[gen];
   auto it = registry.find(0);
   if (it == registry.end()) {

@@ -2,14 +2,21 @@
 //
 // Point-to-point messages travel through the Fabric cost model with MPI
 // matching semantics (FIFO per (source, tag), wildcards supported) and an
-// eager/rendezvous protocol switch at `eager_threshold`. Collectives are
+// eager/rendezvous protocol switch at `eager_threshold`. Each rank keeps
+// one lane per source it has heard from: a FIFO of that source's unexpected
+// messages and a FIFO of the receives posted for that source. kAnySource
+// receives wait in one list of their own. A per-rank send sequence and post
+// sequence keep MPI's order across lanes: a kAnySource receive takes the
+// earliest-sent matching message of any lane, and a message goes to
+// whichever of its lane's first matching receive and the first matching
+// kAnySource receive was posted first. Matching is thus exactly that of a
+// single queue scanned in order, without the scan. Collectives are
 // modeled as synchronizing rendezvous: all participants leave at
 // max(arrival) + an analytic tree cost — precisely the global-
 // synchronisation behaviour the paper identifies as collective I/O's
 // bottleneck (a slow rank delays everyone).
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -22,10 +29,12 @@
 #include <vector>
 
 #include "common/units.h"
+#include "mpi/payload.h"
 #include "mpi/request.h"
 #include "mpi/topology.h"
 #include "net/fabric.h"
 #include "sim/engine.h"
+#include "sim/fifo.h"
 #include "sim/sync.h"
 
 namespace e10::mpi {
@@ -86,12 +95,13 @@ class Comm {
   /// Nonblocking send of a type-erased payload charged as `bytes` on the
   /// wire. The payload is moved, not copied, through to the matching
   /// receive, whose Request::take<T>() moves it out again.
-  Request isend(int dst, int tag, std::any payload, Offset bytes) const;
+  Request isend(int dst, int tag, Payload payload, Offset bytes) const;
 
   /// Nonblocking receive from `src` (or kAnySource) with `tag` (or kAnyTag).
   Request irecv(int src, int tag) const;
 
-  void send(int dst, int tag, std::any payload, Offset bytes) const;
+  void send(int dst, int tag, Payload payload, Offset bytes) const;
+  /// Blocking receive; the delivered packet is moved out to the caller.
   Packet recv(int src, int tag) const;
 
   // ---- Collectives (all synchronizing; see header comment) ---------------
@@ -103,8 +113,8 @@ class Comm {
   /// the others reuse its result.
   template <typename T, typename BinaryOp>
   T allreduce(const T& value, BinaryOp op, Offset bytes = sizeof(T)) const {
-    const auto sealed = run_collective(Kind::allreduce, std::any(value), bytes);
-    return memo<T>(*sealed, [&op](const std::vector<std::any>& contribs) {
+    const auto sealed = run_collective(Kind::allreduce, Payload(value), bytes);
+    return memo<T>(*sealed, [&op](const std::vector<Payload>& contribs) {
       return reduce_in_rank_order<T>(contribs, op);
     });
   }
@@ -113,7 +123,7 @@ class Comm {
   /// operation and copied out to each rank.
   template <typename T>
   std::vector<T> allgather(const T& value, Offset bytes = sizeof(T)) const {
-    const auto sealed = run_collective(Kind::allgather, std::any(value), bytes);
+    const auto sealed = run_collective(Kind::allgather, Payload(value), bytes);
     return memo<std::vector<T>>(*sealed, &unbox<T>);
   }
 
@@ -127,9 +137,9 @@ class Comm {
                       Offset bytes = sizeof(T)) const
       -> std::shared_ptr<const std::invoke_result_t<Fold&, std::vector<T>>> {
     using R = std::invoke_result_t<Fold&, std::vector<T>>;
-    const auto sealed = run_collective(Kind::allgather, std::any(value), bytes);
+    const auto sealed = run_collective(Kind::allgather, Payload(value), bytes);
     return memo<std::shared_ptr<const R>>(
-        *sealed, [&fold](const std::vector<std::any>& contribs) {
+        *sealed, [&fold](const std::vector<Payload>& contribs) {
           return std::make_shared<const R>(fold(unbox<T>(contribs)));
         });
   }
@@ -153,15 +163,15 @@ class Comm {
       }
     }
     const auto sealed = run_collective(
-        Kind::alltoall, std::any(std::move(send)), bytes_each * size());
+        Kind::alltoall, Payload(std::move(send)), bytes_each * size());
     return memo<std::vector<std::vector<std::pair<int, T>>>>(
         *sealed, &transpose<T>)[static_cast<std::size_t>(rank_)];
   }
 
   template <typename T>
   T bcast(const T& value, int root, Offset bytes = sizeof(T)) const {
-    const auto sealed = run_collective(Kind::bcast, std::any(value), bytes);
-    return std::any_cast<const T&>(
+    const auto sealed = run_collective(Kind::bcast, Payload(value), bytes);
+    return contribution<T>(
         sealed->contributions[static_cast<std::size_t>(root)]);
   }
 
@@ -169,7 +179,7 @@ class Comm {
   template <typename T>
   std::vector<T> gather(const T& value, int root,
                         Offset bytes = sizeof(T)) const {
-    const auto sealed = run_collective(Kind::gather, std::any(value), bytes);
+    const auto sealed = run_collective(Kind::gather, Payload(value), bytes);
     if (rank_ != root) return {};
     return unbox<T>(sealed->contributions);
   }
@@ -177,7 +187,7 @@ class Comm {
   template <typename T, typename BinaryOp>
   T reduce(const T& value, BinaryOp op, int root,
            Offset bytes = sizeof(T)) const {
-    const auto sealed = run_collective(Kind::reduce, std::any(value), bytes);
+    const auto sealed = run_collective(Kind::reduce, Payload(value), bytes);
     if (rank_ != root) return T{};
     return reduce_in_rank_order<T>(sealed->contributions, op);
   }
@@ -200,8 +210,8 @@ class Comm {
   /// transpose) into `memo`, and the other ranks reuse it, so the host work
   /// of reading a collective is O(p) per operation rather than per rank.
   struct Sealed {
-    std::vector<std::any> contributions;
-    std::any memo;
+    std::vector<Payload> contributions;
+    Payload memo;
   };
 
   Comm(std::shared_ptr<CommState> state, int rank)
@@ -209,7 +219,7 @@ class Comm {
 
   /// Deposits this rank's contribution and blocks until all ranks arrive;
   /// returns the operation's sealed contributions.
-  std::shared_ptr<Sealed> run_collective(Kind kind, std::any contribution,
+  std::shared_ptr<Sealed> run_collective(Kind kind, Payload contribution,
                                          Offset bytes) const;
 
   /// The operation's memoised `R`, derived from the contributions by `make`
@@ -220,7 +230,7 @@ class Comm {
     if (!sealed.memo.has_value()) {
       sealed.memo.emplace<R>(make(std::as_const(sealed.contributions)));
     }
-    const R* result = std::any_cast<R>(&sealed.memo);
+    const R* result = sealed.memo.get_if<R>();
     if (result == nullptr) {
       throw std::logic_error(
           "collective mismatch: ranks read one operation as different "
@@ -229,12 +239,24 @@ class Comm {
     return *result;
   }
 
+  /// One rank's contribution as a `T`; throws when it holds another type.
   template <typename T>
-  static std::vector<T> unbox(const std::vector<std::any>& contribs) {
+  static const T& contribution(const Payload& contrib) {
+    const T* value = contrib.get_if<T>();
+    if (value == nullptr) {
+      throw std::logic_error(
+          "collective mismatch: ranks contributed one operation different "
+          "value types");
+    }
+    return *value;
+  }
+
+  template <typename T>
+  static std::vector<T> unbox(const std::vector<Payload>& contribs) {
     std::vector<T> out;
     out.reserve(contribs.size());
-    for (const std::any& a : contribs) {
-      out.push_back(std::any_cast<const T&>(a));
+    for (const Payload& contrib : contribs) {
+      out.push_back(contribution<T>(contrib));
     }
     return out;
   }
@@ -243,11 +265,11 @@ class Comm {
   /// ascending: one pass over the contributions in rank order.
   template <typename T>
   static std::vector<std::vector<std::pair<int, T>>> transpose(
-      const std::vector<std::any>& contribs) {
+      const std::vector<Payload>& contribs) {
     using Cells = std::vector<std::pair<int, T>>;
     std::vector<Cells> rows(contribs.size());
     for (std::size_t src = 0; src < contribs.size(); ++src) {
-      const Cells* cells = std::any_cast<Cells>(&contribs[src]);
+      const Cells* cells = contribs[src].get_if<Cells>();
       if (cells == nullptr) {
         throw std::logic_error(
             "collective mismatch: ranks sent one alltoall different value "
@@ -262,11 +284,11 @@ class Comm {
   }
 
   template <typename T, typename BinaryOp>
-  static T reduce_in_rank_order(const std::vector<std::any>& contribs,
+  static T reduce_in_rank_order(const std::vector<Payload>& contribs,
                                 BinaryOp& op) {
-    T acc = std::any_cast<const T&>(contribs[0]);
+    T acc = contribution<T>(contribs[0]);
     for (std::size_t i = 1; i < contribs.size(); ++i) {
-      acc = op(acc, std::any_cast<const T&>(contribs[i]));
+      acc = op(acc, contribution<T>(contribs[i]));
     }
     return acc;
   }
@@ -303,11 +325,11 @@ class CommState {
     return max_ranks_per_node_;
   }
 
-  Request isend(int src, int dst, int tag, std::any payload, Offset bytes);
+  Request isend(int src, int dst, int tag, Payload payload, Offset bytes);
   Request irecv(int dst, int src, int tag);
 
   std::shared_ptr<Comm::Sealed> collective(int rank, Comm::Kind kind,
-                                           std::any contribution,
+                                           Payload contribution,
                                            Offset bytes);
 
   std::shared_ptr<CommState> split_child(int caller_rank, int color, int key,
@@ -321,19 +343,31 @@ class CommState {
     Time arrival = 0;
     std::shared_ptr<Request::State> send_state;  // open rendezvous send
     sim::CausalToken cause = 0;  // the send's causal emission
+    std::uint64_t seq = 0;       // the receiver's send sequence
   };
   struct PendingRecv {
     std::shared_ptr<Request::State> state;
-    int src = kAnySource;
     int tag = kAnyTag;
+    std::uint64_t seq = 0;  // the receiver's post sequence
+  };
+  /// One source's traffic to one rank. No unexpected message ever matches
+  /// a posted receive: each arrival first looks for a receive, each post
+  /// first looks for a message.
+  struct Lane {
+    std::uint64_t key = 0;             // lane_key(dst, src)
+    sim::Fifo<PendingMsg> unexpected;  // send order
+    sim::Fifo<PendingRecv> posted;     // post order, this source only
   };
   struct RankQueues {
-    std::deque<PendingMsg> unexpected;
-    std::deque<PendingRecv> posted;
+    /// This rank's lanes in first-contact order, for kAnySource receives.
+    std::vector<Lane*> lanes;
+    sim::Fifo<PendingRecv> any_source;  // post order
+    std::uint64_t sends = 0;  // messages queued unexpected so far
+    std::uint64_t posts = 0;  // receives posted so far
   };
   struct CollOp {
     explicit CollOp(sim::Engine& engine) : release(engine) {}
-    std::vector<std::any> contributions;
+    std::vector<Payload> contributions;
     std::size_t arrived = 0;
     std::size_t departed = 0;
     Time max_arrival = 0;
@@ -346,7 +380,13 @@ class CommState {
 
   /// `rank` as an index; throws when it is outside the communicator.
   std::size_t checked(int rank, const char* what) const;
-  static bool matches(const PendingRecv& recv, const Packet& packet);
+  /// The lane from `src` to `dst`, created on first contact.
+  Lane& lane_of(int dst, int src);
+  /// The slot of lane_slots_ holding the lane keyed `key`, or the empty
+  /// slot where it belongs.
+  std::size_t lane_slot(std::uint64_t key) const;
+  /// Completes a receive with an unexpected message it matched.
+  void deliver(PendingMsg& msg, Request::State& recv);
   Time collective_cost(Comm::Kind kind, Offset max_bytes) const;
   /// Finds or creates the caller's next collective slot (advancing its
   /// sequence number) and checks operation agreement across ranks.
@@ -371,6 +411,13 @@ class CommState {
   MpiParams params_;
   std::string name_;
   std::vector<RankQueues> queues_;
+  // Every lane, kept once created; a deque keeps their addresses, which
+  // RankQueues::lanes and lane_slots_ hold. lane_slots_ finds a lane by
+  // key with open addressing: a power-of-two table, at most half full,
+  // probed linearly from a multiplicative hash, so a lookup takes no
+  // division and nearly always one probe however many lanes there are.
+  std::deque<Lane> lanes_;
+  std::vector<Lane*> lane_slots_;
   // Per-rank collective sequence numbers; in-flight ops live in a deque
   // indexed by (sequence - coll_base_). Ranks join ops in sequence order
   // and ops retire in sequence order, so the window is dense: no per-op

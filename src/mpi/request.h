@@ -4,25 +4,25 @@
 // §III-A).
 #pragma once
 
-#include <any>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/units.h"
+#include "mpi/payload.h"
 #include "sim/causal.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 
 namespace e10::mpi {
 
-/// Envelope + payload of a point-to-point message. The payload is type-
-/// erased; `bytes` is what the cost model charges.
+/// Envelope + payload of a point-to-point message. `bytes` is what the cost
+/// model charges.
 struct Packet {
   int src = -1;
   int tag = 0;
   Offset bytes = 0;
-  std::any payload;
+  Payload payload;
 };
 
 /// [[nodiscard]]: a dropped request handle is a lost completion — an
@@ -45,14 +45,19 @@ class [[nodiscard]] Request {
   /// For completed receive requests: the delivered packet.
   const Packet& packet() const;
 
+  /// For completed receive requests: moves the delivered packet out.
+  /// Throws std::logic_error when there is no delivered packet; afterwards
+  /// the request holds none.
+  Packet take_packet();
+
   /// For completed receive requests: moves the delivered payload out as a
   /// `T`, so what the sender moved in arrives without a copy. Throws
-  /// std::logic_error when there is no delivered packet; afterwards the
-  /// request holds none.
+  /// std::logic_error when there is no delivered packet, or when it holds
+  /// no `T` (the packet then stays); afterwards the request holds none.
   template <typename T>
   T take() {
     (void)packet();  // throws without a delivered packet
-    T payload = std::any_cast<T>(std::move(state_->packet.payload));
+    T payload = state_->packet.payload.take<T>();
     state_->packet = Packet{};
     state_->has_packet = false;
     return payload;
@@ -84,6 +89,11 @@ class [[nodiscard]] Request {
     /// Causal emission this request's completion stems from (0 = none).
     sim::CausalToken cause = 0;
   };
+
+  /// A fresh state in a recycled block (request.cpp): every isend, irecv
+  /// and grequest takes its state, with the shared_ptr's count, from one
+  /// free list of fixed-size blocks.
+  static std::shared_ptr<State> new_state(sim::Engine& engine);
 
   explicit Request(std::shared_ptr<State> state) : state_(std::move(state)) {}
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace e10::obs {
 
@@ -67,37 +68,53 @@ std::vector<std::int64_t> exponential_bounds(std::int64_t first, int count,
   return bounds;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  return counters_[name];
+const std::vector<std::int64_t>& byte_size_bounds() {
+  static const std::vector<std::int64_t> bounds = exponential_bounds(4096, 14);
+  return bounds;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  return gauges_[name];
+namespace {
+/// The instrument named `name`, built by `make` when there is none.
+template <typename Map, typename Make>
+typename Map::mapped_type& find_or_make(Map& map, std::string_view name,
+                                        Make make) {
+  auto it = map.lower_bound(name);
+  if (it == map.end() || it->first != name) {
+    it = map.emplace_hint(it, std::string(name), make());
+  }
+  return it->second;
+}
+}  // namespace
+
+Counter& MetricsRegistry::counter(std::string_view name) {
+  return find_or_make(counters_, name, [] { return Counter{}; });
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::int64_t> bounds) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, Histogram(std::move(bounds))).first->second;
+Gauge& MetricsRegistry::gauge(std::string_view name) {
+  return find_or_make(gauges_, name, [] { return Gauge{}; });
 }
 
-const Counter* MetricsRegistry::find_counter(const std::string& name) const {
+Histogram& MetricsRegistry::histogram(
+    std::string_view name, const std::vector<std::int64_t>& bounds) {
+  return find_or_make(histograms_, name, [&] { return Histogram(bounds); });
+}
+
+const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
+const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
-std::int64_t MetricsRegistry::counter_value(const std::string& name) const {
+std::int64_t MetricsRegistry::counter_value(std::string_view name) const {
   const Counter* c = find_counter(name);
   return c == nullptr ? 0 : c->value();
 }
 
-std::int64_t MetricsRegistry::gauge_high_water(const std::string& name) const {
+std::int64_t MetricsRegistry::gauge_high_water(std::string_view name) const {
   const Gauge* g = find_gauge(name);
   return g == nullptr ? 0 : g->high_water();
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.h"
@@ -79,35 +80,40 @@ class Histogram {
 };
 
 /// Power-of-`factor` bucket bounds starting at `first`: {first, first*factor,
-/// ...}, `count` entries. The usual byte-size bucketing.
+/// ...}, `count` entries.
 std::vector<std::int64_t> exponential_bounds(std::int64_t first, int count,
                                              std::int64_t factor = 2);
+
+/// The usual byte-size bucketing, built once: 4 KiB doubling to 32 MiB
+/// (exponential_bounds(4096, 14)).
+const std::vector<std::int64_t>& byte_size_bounds();
 
 class MetricsRegistry {
  public:
   /// Create-or-get. Returned references stay valid for the registry's
-  /// lifetime (instruments live in node-based maps).
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  /// lifetime (instruments live in node-based maps). A lookup builds the
+  /// key string only when it creates the instrument.
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
   /// `bounds` apply only on first creation.
-  Histogram& histogram(const std::string& name,
-                       std::vector<std::int64_t> bounds);
+  Histogram& histogram(std::string_view name,
+                       const std::vector<std::int64_t>& bounds);
 
   /// Brings counter `name` up to a layer's own running total: a layer that
   /// keeps its totals publishes them at report time. Idempotent, so
   /// publishing again does not double-count.
-  void publish(const std::string& name, std::int64_t total) {
+  void publish(std::string_view name, std::int64_t total) {
     Counter& published = counter(name);
     published.add(total - published.value());
   }
 
-  const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
+  const Counter* find_counter(std::string_view name) const;
+  const Gauge* find_gauge(std::string_view name) const;
 
   /// Counter value, 0 when the counter was never touched.
-  std::int64_t counter_value(const std::string& name) const;
+  std::int64_t counter_value(std::string_view name) const;
   /// Gauge high-water mark, 0 when the gauge was never touched.
-  std::int64_t gauge_high_water(const std::string& name) const;
+  std::int64_t gauge_high_water(std::string_view name) const;
 
   std::size_t instruments() const {
     return counters_.size() + gauges_.size() + histograms_.size();
@@ -118,9 +124,9 @@ class MetricsRegistry {
   Json as_json() const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 /// Well-known metric names shared between the instrumented layers and the

@@ -14,9 +14,13 @@
 // popped since the last compaction: amortized O(1) per pop. Capacity is
 // kept, so a queue that refills does not allocate again.
 //
+// erase() removes an element behind the front, for the rare consumer that
+// takes an element out of turn (a message whose tag the receive skips
+// past); it moves the elements behind it, so it suits short queues.
+//
 // Unlike std::deque, a push may move every element: no caller may hold a
 // reference or iterator into a Fifo across a push_back, nor across a
-// pop_front (which may compact).
+// pop_front or erase (which may compact).
 #pragma once
 
 #include <cstddef>
@@ -40,11 +44,25 @@ class Fifo {
   /// Drops the oldest element (undefined when empty), releasing what it
   /// held.
   void pop_front() {
+    if (head_ + 1 == items_.size()) {  // the last element: empty at once
+      clear();
+      return;
+    }
     items_[head_] = T{};
     ++head_;
     if (2 * head_ > items_.size()) {
       items_.erase(items_.begin(), items_.begin() + offset());
       head_ = 0;
+    }
+  }
+
+  /// Removes the element at `it`, releasing what it held; erasing the
+  /// front is pop_front().
+  void erase(iterator it) {
+    if (it == begin()) {
+      pop_front();
+    } else {
+      items_.erase(it);
     }
   }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -232,6 +233,37 @@ TEST(Collectives, AlltoallRejectsBadInput) {
   EXPECT_THROW(kinds.engine.run(), std::logic_error);
 }
 
+TEST(Collectives, MismatchedValueTypesThrowLogicError) {
+  // Ranks that contribute one allgather, allreduce or bcast different value
+  // types are a mismatched collective, whichever rank reads first.
+  const auto mismatched = [](const std::function<void(Comm)>& body) {
+    Fixture f(2, 1);
+    f.world.launch(body);
+    EXPECT_THROW(f.engine.run(), std::logic_error);
+  };
+  mismatched([](Comm comm) {
+    if (comm.rank() == 0) {
+      (void)comm.allgather(1);
+    } else {
+      (void)comm.allgather(1.0);
+    }
+  });
+  mismatched([](Comm comm) {
+    if (comm.rank() == 0) {
+      (void)comm.allreduce(1, std::plus<>());
+    } else {
+      (void)comm.allreduce(Offset{1}, std::plus<>());
+    }
+  });
+  mismatched([](Comm comm) {
+    if (comm.rank() == 0) {
+      (void)comm.bcast(1, /*root=*/0);
+    } else {
+      (void)comm.bcast(1.0, /*root=*/0);
+    }
+  });
+}
+
 TEST(Collectives, AlltoallCostIsTheDenseCost) {
   // Every rank is charged a dense alltoall's bytes_each * p, so the release
   // time does not depend on how many pairs anybody sends: none, all p, or
@@ -449,7 +481,7 @@ TEST(CommDup, IndependentMatchingContext) {
       dup.send(1, 0, 222, 4);
     } else {
       // Receive on dup first: must get the dup message, not the world one.
-      got = std::any_cast<int>(dup.recv(0, 0).payload);
+      got = dup.recv(0, 0).payload.take<int>();
       (void)comm.recv(0, 0);
     }
   });
