@@ -1,15 +1,17 @@
 // Substrate micro-benchmarks (google-benchmark): DES engine switch and
 // spawn rates, PFS client write throughput, MPI alltoall/point-to-point
 // overheads (a ping-pong, and a two-level fan-in that queues messages in
-// many lanes), ByteStore appends and interleaved flush writes, and the host
-// cost of one generic allgather and allreduce, one collective open, one
-// two-level or flat write call and one collective read call as the rank
-// count grows. These establish the simulator's own performance envelope —
-// how much real time a simulated experiment costs.
+// many lanes), ByteStore appends, interleaved flush writes and the content
+// hash of a coll_perf file, and the host cost of one generic allgather and
+// allreduce, one collective open, one two-level or flat write call and one
+// collective read call as the rank count grows. These establish the
+// simulator's own performance envelope — how much real time a simulated
+// experiment costs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/dataview.h"
 #include "common/units.h"
@@ -398,6 +400,48 @@ void BM_ByteStoreInterleavedWrites(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * writes);
 }
 BENCHMARK(BM_ByteStoreInterleavedWrites)->Arg(32)->Arg(512)->Unit(benchmark::kMillisecond);
+
+void BM_ByteStoreContentHash(benchmark::State& state) {
+  // One coll_perf file at 512 ranks as the PFS stores it: 64 aggregators
+  // drain their 512 MiB file domains round-robin in 4 MiB stripe writes,
+  // 8,192 in all, each a rope of four ranks' 1 MiB rows (a seed per rank,
+  // the row's place in the rank's block as origin). A rewrite of the first
+  // stripe leaves the log dirty, so the timed hash sweeps it first.
+  constexpr Offset kRow = 1 * MiB;
+  constexpr Offset kStripe = 4 * kRow;
+  constexpr Offset kWriters = 64;
+  constexpr Offset kDomain = 32 * GiB / kWriters;
+  const auto stripe_at = [](Offset at) {
+    std::vector<DataView> rows;
+    for (Offset pos = at; pos < at + kStripe; pos += kRow) {
+      // 8 MiB array rows (x, y) of 8 ranks' pieces; blocks of 4 x 16 rows.
+      const Offset x = pos / (8 * kRow) / 128;
+      const Offset y = pos / (8 * kRow) % 128;
+      const Offset rank = x / 4 * 64 + y / 16 * 8 + pos % (8 * kRow) / kRow;
+      rows.push_back(
+          DataView::synthetic(1000 + static_cast<std::uint64_t>(rank),
+                              (x % 4 * 16 + y % 16) * kRow, kRow));
+    }
+    return DataView::concat(rows);
+  };
+  std::int64_t writes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ByteStore store;
+    writes = 0;
+    for (Offset k = 0; k < kDomain / kStripe; ++k) {
+      for (Offset w = 0; w < kWriters; ++w, ++writes) {
+        const Offset at = w * kDomain + k * kStripe;
+        store.write(at, stripe_at(at));
+      }
+    }
+    store.write(0, stripe_at(0));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(store.content_hash());
+  }
+  state.SetItemsProcessed(state.iterations() * writes);
+}
+BENCHMARK(BM_ByteStoreContentHash)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

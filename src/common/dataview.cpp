@@ -1,6 +1,7 @@
 #include "common/dataview.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -232,28 +233,36 @@ void ByteStore::consolidate() const {
             });
 
   // Sweep left to right. `active` is a max-heap (by seq) of the writes
-  // covering the cursor; the top is the visible one — the latest write
-  // wins, exactly the shadowing rule the eager map applied per write. A
-  // visible run is emitted only when the visible write changes, and joins
-  // the previous run when it starts at its end and continues its bytes.
-  // The joined entry keeps the larger seq: entries no longer overlap, so
-  // a seq only has to stay below every later write's.
-  const auto by_seq = [](const Stored* a, const Stored* b) {
-    return a->seq < b->seq;
+  // covering the cursor, each with its end; the top is the visible one —
+  // the latest write wins, exactly the shadowing rule the eager map applied
+  // per write. A visible run is emitted only when the visible write
+  // changes, and joins the previous run when it starts at its end and
+  // continues its bytes. A write visible over its whole extent moves its
+  // view out rather than slicing it, which would copy a rope's segments;
+  // the heap keeps the ends, so no moved-from view is read. The joined
+  // entry keeps the larger seq: entries no longer overlap, so a seq only
+  // has to stay below every later write's.
+  struct Active {
+    Stored* write;
+    Offset end;
   };
-  const auto end_of = [](const Stored* s) {
-    return s->offset + s->view.size();
+  const auto by_seq = [](const Active& a, const Active& b) {
+    return a.write->seq < b.write->seq;
   };
   std::vector<Stored> out;
   out.reserve(segments_.size());
-  std::vector<const Stored*> active;
-  const Stored* visible = nullptr;
+  std::vector<Active> active;
+  Stored* visible = nullptr;
   Offset vis_start = 0;
+  Offset vis_end = 0;
   Offset cursor = 0;
   const auto emit = [&](Offset upto) {
     if (visible == nullptr || upto <= vis_start) return;
     DataView run =
-        visible->view.slice(vis_start - visible->offset, upto - vis_start);
+        vis_start == visible->offset && upto == vis_end
+            ? std::move(visible->view)
+            : visible->view.slice(vis_start - visible->offset,
+                                  upto - vis_start);
     if (!out.empty()) {
       Stored& last = out.back();
       if (last.offset + last.view.size() == vis_start &&
@@ -267,7 +276,7 @@ void ByteStore::consolidate() const {
   std::size_t i = 0;
   const std::size_t n = segments_.size();
   while (i < n || !active.empty()) {
-    while (!active.empty() && end_of(active.front()) <= cursor) {
+    while (!active.empty() && active.front().end <= cursor) {
       std::pop_heap(active.begin(), active.end(), by_seq);
       active.pop_back();
     }
@@ -278,22 +287,24 @@ void ByteStore::consolidate() const {
       cursor = std::max(cursor, segments_[i].offset);  // skip unwritten gap
     }
     while (i < n && segments_[i].offset <= cursor) {
-      active.push_back(&segments_[i]);
+      Stored& write = segments_[i];
+      active.push_back(Active{&write, write.offset + write.view.size()});
       std::push_heap(active.begin(), active.end(), by_seq);
       ++i;
     }
-    while (!active.empty() && end_of(active.front()) <= cursor) {
+    while (!active.empty() && active.front().end <= cursor) {
       std::pop_heap(active.begin(), active.end(), by_seq);
       active.pop_back();
     }
     if (active.empty()) continue;
-    const Stored* top = active.front();
-    if (top != visible) {
+    const Active top = active.front();
+    if (top.write != visible) {
       emit(cursor);
-      visible = top;
+      visible = top.write;
       vis_start = cursor;
+      vis_end = top.end;
     }
-    Offset next = end_of(top);
+    Offset next = top.end;
     if (i < n) next = std::min(next, segments_[i].offset);
     cursor = next;
   }
@@ -349,6 +360,116 @@ std::byte ByteStore::byte_at(Offset pos) const {
     return it->view.byte_at(pos - it->offset);
   }
   return std::byte{0};
+}
+
+namespace {
+
+/// Hashes a file's content fed in ascending offset order, as synthetic
+/// pieces and real pieces. Continuing synthetic pieces join into maximal
+/// runs, each hashed once as (offset, length, seed, origin − offset); real
+/// bytes are hashed as the nonzero 64-bit words of the file they fall in,
+/// so a hole and zero bytes add nothing and how the bytes were cut does not
+/// matter. Each field goes to a lane of its own, four independent chains
+/// whose steps the CPU overlaps where one chain would wait on each; a real
+/// word feeds the first two. A run's offset has the top bit clear and a
+/// real word's has it set, so the lanes spell one content only.
+class ContentHasher {
+ public:
+  void synthetic(Offset at, std::uint64_t seed, Offset origin, Offset length) {
+    const Offset delta = origin - at;
+    if (run_length_ > 0 && run_start_ + run_length_ == at &&
+        run_seed_ == seed && run_delta_ == delta) {
+      run_length_ += length;
+      return;
+    }
+    close_run();
+    run_start_ = at;
+    run_length_ = length;
+    run_seed_ = seed;
+    run_delta_ = delta;
+  }
+
+  void real(Offset at, const std::byte* bytes, Offset length) {
+    const Offset end = at + length;
+    for (Offset pos = at; pos < end;) {
+      const Offset word_at = pos - pos % 8;
+      const Offset upto = std::min(end, word_at + 8);
+      std::uint64_t bits = 0;
+      for (; pos < upto; ++pos) {
+        bits |= static_cast<std::uint64_t>(bytes[pos - at]) << (8 * (pos % 8));
+      }
+      if (bits == 0) continue;
+      if (word_ != 0 && word_at_ != word_at) close_word();
+      word_at_ = word_at;
+      word_ |= bits;
+    }
+  }
+
+  std::uint64_t finish(Offset extent_end) {
+    close_run();
+    close_word();
+    std::uint64_t hash = step(0, static_cast<std::uint64_t>(extent_end));
+    for (const std::uint64_t lane : lanes_) hash = step(hash, lane);
+    return hash;
+  }
+
+ private:
+  static constexpr std::uint64_t kRealWord = 1ULL << 63;
+
+  /// One avalanching step per word: the SplitMix64 finalizer.
+  static std::uint64_t step(std::uint64_t lane, std::uint64_t value) {
+    std::uint64_t x = (lane ^ value) + 0x9E3779B97F4A7C15ULL;
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  }
+
+  void close_run() {
+    if (run_length_ == 0) return;
+    lanes_[0] = step(lanes_[0], static_cast<std::uint64_t>(run_start_));
+    lanes_[1] = step(lanes_[1], static_cast<std::uint64_t>(run_length_));
+    lanes_[2] = step(lanes_[2], run_seed_);
+    lanes_[3] = step(lanes_[3], static_cast<std::uint64_t>(run_delta_));
+    run_length_ = 0;
+  }
+
+  void close_word() {
+    if (word_ == 0) return;
+    lanes_[0] =
+        step(lanes_[0], static_cast<std::uint64_t>(word_at_) | kRealWord);
+    lanes_[1] = step(lanes_[1], word_);
+    word_ = 0;
+  }
+
+  std::array<std::uint64_t, 4> lanes_ = {1, 2, 3, 4};  // distinct starts
+  Offset run_start_ = 0;  // the open synthetic run; none while length is 0
+  Offset run_length_ = 0;
+  std::uint64_t run_seed_ = 0;
+  Offset run_delta_ = 0;
+  Offset word_at_ = 0;  // the open real word; none while it is 0
+  std::uint64_t word_ = 0;
+};
+
+}  // namespace
+
+std::uint64_t ByteStore::content_hash() const {
+  consolidate();
+  ContentHasher hasher;
+  for (const Stored& stored : segments_) {
+    Offset at = stored.offset;
+    DataView::Segment scratch;
+    for (const DataView::Segment& seg : stored.view.segments(scratch)) {
+      if (seg.buffer == nullptr) {
+        hasher.synthetic(at, seg.seed, seg.origin, seg.length);
+      } else {
+        hasher.real(at, seg.buffer->data() + seg.offset, seg.length);
+      }
+      at += seg.length;
+    }
+  }
+  return hasher.finish(max_end_);
 }
 
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -27,6 +28,25 @@ class DataView {
  public:
   /// Empty view.
   DataView() = default;
+  DataView(const DataView&) = default;
+  DataView& operator=(const DataView&) = default;
+  /// A moved-from view is empty.
+  DataView(DataView&& other) noexcept
+      : segments_(std::move(other.segments_)),
+        seed_(other.seed_),
+        origin_(other.origin_),
+        length_(std::exchange(other.length_, 0)) {}
+  DataView& operator=(DataView&& other) noexcept {
+    if (this != &other) {
+      segments_ = std::move(other.segments_);
+      other.segments_.clear();
+      seed_ = other.seed_;
+      origin_ = other.origin_;
+      length_ = std::exchange(other.length_, 0);
+    }
+    return *this;
+  }
+  ~DataView() = default;
 
   /// A real view owning (sharing) the given bytes.
   static DataView real(std::vector<std::byte> bytes);
@@ -83,6 +103,8 @@ class DataView {
   static std::byte pattern_byte(std::uint64_t seed, Offset position);
 
  private:
+  friend class ByteStore;  // hashes the rope's segments
+
   struct Segment {
     std::shared_ptr<const std::vector<std::byte>> buffer;  // null => synthetic
     Offset offset = 0;         // into buffer (real segments)
@@ -148,6 +170,15 @@ class ByteStore {
   /// Highest written offset + 1 (the file size if never truncated larger).
   Offset extent_end() const { return max_end_; }
 
+  /// Exact hash of the content [0, extent_end()): two stores whose bytes
+  /// are equal hash alike however the bytes were written — in one rope or
+  /// many pieces, in any order, swept or not — and an unwritten hole
+  /// hashes like explicit zero bytes. Synthetic bytes are identified by
+  /// their pattern (seed, origin − offset), real bytes by their values, so
+  /// a synthetic run and a real copy of its bytes hash differently.
+  /// Consolidates the store, then costs O(runs + real bytes).
+  std::uint64_t content_hash() const;
+
   /// Number of stored segments after consolidation (for tests). A sweep
   /// joins each single-run segment onto the previous one when it continues
   /// its bytes; in-order appends to a clean store keep one segment each.
@@ -174,8 +205,9 @@ class ByteStore {
   };
 
   /// Sorts the write log, resolves shadowing and joins continuing runs
-  /// into non-overlapping segments (ascending offset). No-op when the
-  /// store is clean.
+  /// into non-overlapping segments (ascending offset). A write visible over
+  /// its whole extent moves its view into the result. No-op when the store
+  /// is clean.
   void consolidate() const;
 
   mutable std::vector<Stored> segments_;

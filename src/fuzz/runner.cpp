@@ -23,9 +23,10 @@ namespace {
 
 constexpr const char* kGlobalPath = "/pfs/fuzz";
 constexpr const char* kCacheDir = "/scratch";
-/// Sampling strides for the byte oracles: dense enough that any lost or
-/// corrupted extent of real size is hit, cheap enough for hundreds of runs.
-constexpr Offset kChecksumStride = 31;
+/// Sampling stride of the byte comparisons: it names the differing bytes
+/// of a file whose content hash is wrong, and it is the whole check of the
+/// no-garbage and recovery oracles, where a partial file has no single
+/// expected hash.
 constexpr Offset kCompareStride = 37;
 constexpr int kMaxDetails = 5;  // violations reported per oracle
 
@@ -93,24 +94,6 @@ std::vector<std::vector<std::vector<mpi::IoPiece>>> build_io(
         .push_back(std::move(piece));
   }
   return io;
-}
-
-std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-/// Sampled FNV-1a content fingerprint of the global file.
-std::uint64_t content_checksum(const ByteStore* file) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  if (file == nullptr) return h;
-  const Offset end = file->extent_end();
-  h = fnv_step(h, static_cast<std::uint64_t>(end));
-  for (Offset pos = 0; pos < end; pos += kChecksumStride) {
-    h = fnv_step(h, static_cast<std::uint64_t>(file->byte_at(pos)));
-  }
-  return h;
 }
 
 struct ByteDiff {
@@ -241,8 +224,8 @@ Execution execute(const Scenario& s, Time crash_at, bool check_concurrency) {
     if (!st.is_ok()) all_ok = false;
   }
   ex.report.all_ok = all_ok;
-  ex.report.checksum = content_checksum(p.pfs.peek(kGlobalPath));
   const ByteStore* file = p.pfs.peek(kGlobalPath);
+  ex.report.checksum = file != nullptr ? file->content_hash() : 0;
   ex.report.extent_end = file != nullptr ? file->extent_end() : 0;
   if (ex.checker != nullptr) {
     const auto summary = ex.checker->summary();
@@ -371,17 +354,27 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
 
   if (!ex.report.engine_error) {
     if (ex.report.all_ok) {
-      // No rank surfaced an error: the file must be byte-exact.
-      int budget = kMaxDetails;
+      // No rank surfaced an error: the file must be byte-exact, which its
+      // content hash decides. The sampled comparison only names the bytes
+      // that differ.
       if (file == nullptr) {
         ex.violate("byte_equality", "global file missing");
-      } else if (file->extent_end() != reference.extent_end()) {
-        ex.violate("byte_equality",
-                   "extent_end " + std::to_string(file->extent_end()) +
-                       " != ref " + std::to_string(reference.extent_end()));
-      }
-      for (const PieceSpec& piece : pieces) {
-        check_extent("byte_equality", piece.offset, piece.length, budget);
+      } else if (ex.report.checksum != reference.content_hash()) {
+        const std::size_t before = ex.violations.size();
+        if (file->extent_end() != reference.extent_end()) {
+          ex.violate("byte_equality",
+                     "extent_end " + std::to_string(file->extent_end()) +
+                         " != ref " + std::to_string(reference.extent_end()));
+        }
+        int budget = kMaxDetails;
+        for (const PieceSpec& piece : pieces) {
+          check_extent("byte_equality", piece.offset, piece.length, budget);
+        }
+        if (ex.violations.size() == before) {
+          ex.violate("byte_equality",
+                     "content hash differs from the reference at no "
+                     "sampled byte");
+        }
       }
     } else if (!ex.report.stopped) {
       // Errors were surfaced: abandoned extents may be missing, but

@@ -3,13 +3,15 @@
 //
 //  1. Byte equality vs. the ByteStore POSIX reference model — whenever the
 //     run surfaced no error on any rank, the global file must hold exactly
-//     the reference bytes (sampled densely plus every piece boundary).
-//     Errors that *were* surfaced relax this to the no-garbage invariant:
-//     every global-file byte equals the reference byte or is still unwritten
-//     — abandoned extents may lose data, but nothing may be corrupted.
-//  2. Content-checksum equality across hint configurations: a clean
-//     scenario re-run under baseline hints (cache path flipped) must
-//     produce the identical content fingerprint.
+//     the reference bytes: its exact content hash must equal the
+//     reference's (a sampled comparison then names up to five differing
+//     bytes). Errors that *were* surfaced relax this to the no-garbage
+//     invariant, checked on sampled bytes: every global-file byte equals
+//     the reference byte or is still unwritten — abandoned extents may lose
+//     data, but nothing may be corrupted.
+//  2. Content-hash equality across hint configurations: a clean scenario
+//     re-run under baseline hints (cache path flipped) must produce the
+//     identical exact content hash.
 //  3. Zero ConcurrencyChecker findings (lockset races, lock-order cycles).
 //  4. Post-recovery byte-identity of journaled extents: after a crash-point
 //     kill and CacheFile::recover() replay, every extent the journals know
@@ -46,7 +48,7 @@ struct RunReport {
   Time end_time = 0;             // final virtual time
   std::vector<int> rank_errors;  // Errc per rank (0 = ok)
   bool all_ok = false;           // every rank finished without error
-  std::uint64_t checksum = 0;    // sampled FNV-1a over the global file
+  std::uint64_t checksum = 0;    // ByteStore::content_hash of the file
   Offset extent_end = 0;
   std::size_t races = 0;
   std::size_t cycles = 0;

@@ -1,6 +1,5 @@
 #include "workloads/experiment.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -14,38 +13,18 @@ namespace e10::workloads {
 
 namespace {
 
-/// Sampled FNV-1a fingerprint of the run's output files in the global
-/// namespace. Synthetic data at GiB scale makes a full byte walk too slow,
-/// so up to 64 Ki evenly-strided positions per file are hashed, plus each
-/// file's extent end — enough to catch misplaced, reordered or lost round
-/// writes when comparing pipelined against synchronous runs.
+/// Exact fingerprint of the run's output files in the global namespace:
+/// each file's ByteStore::content_hash (0 for a missing file), folded in
+/// file order. Equal fingerprints mean byte-identical files, so pipelined
+/// and synchronous runs, or cache enabled and disabled, can be compared.
 std::string content_fingerprint(const pfs::Pfs& pfs,
                                 const WorkflowParams& workflow) {
-  constexpr std::uint64_t kOffsetBasis = 1469598103934665603ULL;
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t hash = kOffsetBasis;
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      hash ^= (value >> shift) & 0xff;
-      hash *= kPrime;
-    }
-  };
+  std::uint64_t hash = 0;
   const std::string base = adio::parse_driver_path(workflow.base_path).second;
   for (int k = 0; k < workflow.num_files; ++k) {
-    const std::string path = base + "_" + std::to_string(k);
-    const ByteStore* store = pfs.peek(path);
-    if (store == nullptr) {
-      mix(0);
-      continue;
-    }
-    const Offset end = store->extent_end();
-    mix(static_cast<std::uint64_t>(end));
-    if (end <= 0) continue;
-    const Offset stride = std::max<Offset>(1, end / 65536);
-    for (Offset pos = 0; pos < end; pos += stride) {
-      mix(static_cast<std::uint64_t>(store->byte_at(pos)));
-    }
-    mix(static_cast<std::uint64_t>(store->byte_at(end - 1)));
+    const ByteStore* store = pfs.peek(base + "_" + std::to_string(k));
+    hash = hash * 0x100000001B3ULL ^
+           (store != nullptr ? store->content_hash() : 0);
   }
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",

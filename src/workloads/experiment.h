@@ -104,8 +104,9 @@ struct ExperimentResult {
   /// deterministic — same spec, same counters — so CI gates on them and
   /// the bench layer derives host-side events/sec from them.
   sim::EngineStats engine_stats;
-  /// Sampled FNV-1a fingerprint of the output files (also echoed in the
-  /// report config as "content_checksum").
+  /// Exact fingerprint of the output files, from each file's
+  /// ByteStore::content_hash: equal exactly when their bytes are (also
+  /// echoed in the report config as "content_checksum").
   std::string content_checksum;
   /// Machine-readable run report (config + phases + metrics + derived).
   obs::Json report;

@@ -284,6 +284,36 @@ TEST(DataView, ExtendIfContinuedJoinsOnlyContinuingSingleRuns) {
   EXPECT_EQ(lone.size(), 10);
 }
 
+TEST(DataView, MoveLeavesSourceEmpty) {
+  // Whatever a view held — a rope, an inline run, real bytes — it is empty
+  // once moved from, and the target reads what the source did.
+  DataView rope = DataView::concat(
+      {DataView::synthetic(1, 0, 100), DataView::synthetic(2, 0, 100)});
+  ASSERT_EQ(rope.segment_count(), 2u);
+  const std::byte fifth = rope.byte_at(5);
+  const DataView moved(std::move(rope));
+  EXPECT_EQ(rope.size(), 0);
+  EXPECT_EQ(rope.segment_count(), 0u);
+  EXPECT_THROW((void)rope.byte_at(5), std::out_of_range);
+  EXPECT_EQ(moved.size(), 200);
+  EXPECT_EQ(moved.byte_at(5), fifth);
+
+  DataView run = DataView::synthetic(3, 10, 50);
+  DataView target = DataView::real(bytes_of({1, 2}));
+  target = std::move(run);
+  EXPECT_TRUE(run.empty());
+  EXPECT_TRUE(run.materialize().empty());
+  EXPECT_EQ(target.size(), 50);
+  EXPECT_EQ(target.origin(), 10);
+
+  DataView real = DataView::real(bytes_of({4, 5, 6}));
+  DataView other;
+  other = std::move(real);
+  EXPECT_TRUE(real.empty());
+  EXPECT_EQ(real.data(), nullptr);
+  EXPECT_EQ(other.byte_at(2), std::byte{6});
+}
+
 TEST(ByteStore, WriteAndReadBack) {
   ByteStore store;
   store.write(100, DataView::real(bytes_of({1, 2, 3})));
@@ -451,6 +481,100 @@ TEST(ByteStore, DirtyLogConsolidatesWhenItDoubles) {
   }
 }
 
+TEST(ByteStore, ContentHashIgnoresHowBytesWereWritten) {
+  // Run x (2 KiB) then run y (1 KiB), each of its own seed.
+  const DataView x = DataView::synthetic(5, 0, 2048);
+  const DataView y = DataView::synthetic(6, 100, 1024);
+  ByteStore rope;  // one write of a two-segment rope
+  rope.write(0, DataView::concat({x, y}));
+  ByteStore shuffled;  // 512-byte pieces out of order: swept
+  for (const Offset k : {4, 1, 5, 0, 3, 2}) {
+    const Offset at = 512 * k;
+    shuffled.write(at, at < 2048 ? x.slice(at, 512) : y.slice(at - 2048, 512));
+  }
+  ByteStore appended;  // in order, a rope across the seam: never swept
+  appended.write(0, x.slice(0, 512));
+  appended.write(512, DataView::concat({x.slice(512, 1536), y.slice(0, 512)}));
+  appended.write(2560, y.slice(512, 512));
+  const std::uint64_t hash = rope.content_hash();
+  EXPECT_EQ(shuffled.content_hash(), hash);
+  EXPECT_EQ(appended.content_hash(), hash);
+  EXPECT_EQ(shuffled.segment_count(), 2u);
+  EXPECT_EQ(appended.segment_count(), 3u);
+
+  // Real bytes hash by value, however they were cut and from whichever
+  // buffer; at offset 7, no cut falls on a word boundary.
+  std::vector<std::byte> bytes(100);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>(1 + i % 250);
+  }
+  const DataView whole = DataView::real(bytes);
+  ByteStore one;
+  one.write(7, whole);
+  ByteStore sliced;
+  sliced.write(7 + 50, whole.slice(50, 50));
+  sliced.write(7, whole.slice(0, 13));
+  sliced.write(7 + 13, whole.slice(13, 37));
+  ByteStore copies;
+  for (const auto& [from, length] :
+       {std::pair<Offset, Offset>{0, 3}, {3, 61}, {64, 36}}) {
+    copies.write(7 + from, DataView::real(whole.slice(from, length)
+                                              .materialize()));
+  }
+  EXPECT_EQ(sliced.content_hash(), one.content_hash());
+  EXPECT_EQ(copies.content_hash(), one.content_hash());
+
+  // A hole hashes like explicit zeros over it: written apart, written back
+  // as zeros (as data sieving does), and zeros beside real bytes in a word.
+  ByteStore holes;
+  holes.write(0, x);
+  holes.write(4096, y);
+  holes.write(5130, DataView::real(bytes_of({9})));
+  ByteStore zeros;
+  zeros.write(0, DataView::concat(
+                     {x, DataView::real(std::vector<std::byte>(2048)), y}));
+  zeros.write(5120, DataView::real(bytes_of({0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                             9})));
+  EXPECT_EQ(zeros.extent_end(), holes.extent_end());
+  EXPECT_EQ(zeros.content_hash(), holes.content_hash());
+}
+
+TEST(ByteStore, ContentHashSeesEveryChange) {
+  const DataView x = DataView::synthetic(5, 0, 1024);
+  const DataView y = DataView::synthetic(6, 0, 1024);
+  const DataView tail = DataView::synthetic(7, 0, 64);
+  const auto store_of = [&tail](Offset x_at, const DataView& first,
+                                const DataView& second) {
+    ByteStore store;
+    store.write(x_at, first);
+    store.write(1100, second);
+    store.write(4096, tail);
+    return store;
+  };
+  const std::uint64_t hash = store_of(0, x, y).content_hash();
+  // Two equal-length pieces swapped.
+  EXPECT_NE(store_of(0, y, x).content_hash(), hash);
+  // A run moved by one byte, or its pattern by one position.
+  EXPECT_NE(store_of(1, x, y).content_hash(), hash);
+  EXPECT_NE(store_of(0, DataView::synthetic(5, 1, 1024), y).content_hash(),
+            hash);
+  // A file one byte shorter.
+  ByteStore shorter;
+  shorter.write(0, x);
+  shorter.write(1100, y);
+  shorter.write(4096, tail.slice(0, 63));
+  EXPECT_NE(shorter.content_hash(), hash);
+
+  // One real byte changed, in the middle of a word.
+  std::vector<std::byte> bytes(64, std::byte{3});
+  ByteStore real;
+  real.write(0, DataView::real(bytes));
+  bytes[21] = std::byte{4};
+  ByteStore changed;
+  changed.write(0, DataView::real(bytes));
+  EXPECT_NE(changed.content_hash(), real.content_hash());
+}
+
 /// Where one byte of the file comes from, in a flat reference model of a
 /// ByteStore that shares no code with it: byte `pos` of real buffer
 /// `buffer`, or of synthetic pattern `seed` when `buffer` is -1. An
@@ -567,6 +691,28 @@ TEST(ByteStore, MatchesByteModelAcrossCompactions) {
         }
       }
       ASSERT_EQ(copy.segment_count(), clean ? store.log_entries() : runs);
+      // The store whose sweeps moved views hashes like the model's maximal
+      // runs appended in order, a store that never sweeps.
+      ByteStore rebuilt;
+      for (Offset i = 0; i < extent;) {
+        const ByteSource b = source_at(i);
+        Offset length = 1;
+        while (i + length < extent &&
+               source_at(i + length - 1).continued_by(source_at(i + length))) {
+          ++length;
+        }
+        if (b.written) {
+          rebuilt.write(i, b.buffer < 0
+                               ? DataView::synthetic(b.seed, b.pos, length)
+                               : DataView::real_slice(
+                                     buffers[static_cast<std::size_t>(
+                                         b.buffer)],
+                                     b.pos, length));
+        }
+        i += length;
+      }
+      ASSERT_EQ(rebuilt.log_entries(), runs);
+      ASSERT_EQ(copy.content_hash(), rebuilt.content_hash());
     };
     const auto write = [&](Offset offset, const ByteSource& s,
                            Offset length) {

@@ -33,7 +33,7 @@ struct GoldenRow {
   Offset cb_buffer;
   CacheCase cache_case;
   Time io_time;           // exact virtual nanoseconds
-  const char* checksum;   // sampled output-content fingerprint
+  const char* checksum;   // exact output-content fingerprint
   std::uint64_t events;   // scheduler pops — the engine-level invariant
 };
 
@@ -42,26 +42,26 @@ struct GoldenRow {
 // ReadyQueue/ExtentMap/ByteStore implementation and verified byte-identical
 // to the seed std::map scheduler's full-sweep reports.
 constexpr GoldenRow kGolden[] = {
-    {2, 64 * KiB, CacheCase::disabled, 2844197, "6ad42c345f9d8fea", 301},
-    {2, 256 * KiB, CacheCase::disabled, 2748403, "6ad42c345f9d8fea", 236},
-    {4, 64 * KiB, CacheCase::disabled, 2863049, "6ad42c345f9d8fea", 277},
-    {4, 256 * KiB, CacheCase::disabled, 2638995, "6ad42c345f9d8fea", 248},
-    {8, 64 * KiB, CacheCase::disabled, 2863049, "6ad42c345f9d8fea", 277},
-    {8, 256 * KiB, CacheCase::disabled, 2638995, "6ad42c345f9d8fea", 248},
-    {2, 64 * KiB, CacheCase::enabled, 18869445, "6ad42c345f9d8fea", 404},
-    {2, 256 * KiB, CacheCase::enabled, 3961843, "6ad42c345f9d8fea", 324},
-    {4, 64 * KiB, CacheCase::enabled, 30371591, "6ad42c345f9d8fea", 380},
-    {4, 256 * KiB, CacheCase::enabled, 12612815, "6ad42c345f9d8fea", 347},
-    {8, 64 * KiB, CacheCase::enabled, 30371591, "6ad42c345f9d8fea", 380},
-    {8, 256 * KiB, CacheCase::enabled, 12612815, "6ad42c345f9d8fea", 347},
-    // The theoretical case never flushes, so the PFS fingerprint is the
-    // cache-resident subset — stable, but different from the flushed cases.
-    {2, 64 * KiB, CacheCase::theoretical, 3834093, "a31e272015f12c43", 388},
-    {2, 256 * KiB, CacheCase::theoretical, 3961843, "a31e272015f12c43", 316},
-    {4, 64 * KiB, CacheCase::theoretical, 3098801, "a31e272015f12c43", 364},
-    {4, 256 * KiB, CacheCase::theoretical, 3098803, "a31e272015f12c43", 336},
-    {8, 64 * KiB, CacheCase::theoretical, 3098801, "a31e272015f12c43", 364},
-    {8, 256 * KiB, CacheCase::theoretical, 3098803, "a31e272015f12c43", 336},
+    {2, 64 * KiB, CacheCase::disabled, 2844197, "169560a983cd5a04", 301},
+    {2, 256 * KiB, CacheCase::disabled, 2748403, "169560a983cd5a04", 236},
+    {4, 64 * KiB, CacheCase::disabled, 2863049, "169560a983cd5a04", 277},
+    {4, 256 * KiB, CacheCase::disabled, 2638995, "169560a983cd5a04", 248},
+    {8, 64 * KiB, CacheCase::disabled, 2863049, "169560a983cd5a04", 277},
+    {8, 256 * KiB, CacheCase::disabled, 2638995, "169560a983cd5a04", 248},
+    {2, 64 * KiB, CacheCase::enabled, 18869445, "169560a983cd5a04", 404},
+    {2, 256 * KiB, CacheCase::enabled, 3961843, "169560a983cd5a04", 324},
+    {4, 64 * KiB, CacheCase::enabled, 30371591, "169560a983cd5a04", 380},
+    {4, 256 * KiB, CacheCase::enabled, 12612815, "169560a983cd5a04", 347},
+    {8, 64 * KiB, CacheCase::enabled, 30371591, "169560a983cd5a04", 380},
+    {8, 256 * KiB, CacheCase::enabled, 12612815, "169560a983cd5a04", 347},
+    // The theoretical case never flushes, so no byte reaches the PFS: its
+    // global files stay empty, one fingerprint unlike the flushed cases'.
+    {2, 64 * KiB, CacheCase::theoretical, 3834093, "9c15e867730a4f72", 388},
+    {2, 256 * KiB, CacheCase::theoretical, 3961843, "9c15e867730a4f72", 316},
+    {4, 64 * KiB, CacheCase::theoretical, 3098801, "9c15e867730a4f72", 364},
+    {4, 256 * KiB, CacheCase::theoretical, 3098803, "9c15e867730a4f72", 336},
+    {8, 64 * KiB, CacheCase::theoretical, 3098801, "9c15e867730a4f72", 364},
+    {8, 256 * KiB, CacheCase::theoretical, 3098803, "9c15e867730a4f72", 336},
 };
 
 ExperimentResult run_row(const GoldenRow& row) {
