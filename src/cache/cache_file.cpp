@@ -82,6 +82,8 @@ CacheFile::CacheFile(sim::Engine& engine, lfs::LocalFs& local_fs,
                      lfs::FileHandle commits_handle)
     : engine_(engine),
       local_fs_(local_fs),
+      pfs_(pfs),
+      global_handle_(global_handle),
       params_(params),
       locks_(locks),
       cache_handle_(cache_handle),
@@ -100,13 +102,6 @@ CacheFile::CacheFile(sim::Engine& engine, lfs::LocalFs& local_fs,
     write_hist_ = &params.metrics->histogram(
         obs::names::kCacheWriteBytesHist, obs::byte_size_bounds());
   }
-  // Last: building the sync thread spawns its worker, which starts at the
-  // clock the open (journal sidecars included) has reached.
-  sync_ = std::make_unique<SyncThread>(
-      engine, local_fs, cache_handle, pfs, global_handle, params.global_path,
-      locks, params.drain, params.retry,
-      journaling() ? std::optional(commits_handle) : std::nullopt,
-      params.metrics, params.tracer, params.rank);
 }
 
 CacheFile::~CacheFile() {
@@ -151,6 +146,20 @@ void CacheFile::note_device_error(Errc code) {
         2000 + params_.rank);
     params_.tracer->instant(track, "cache degraded");
   }
+}
+
+void CacheFile::hand_over(SyncRequest request) {
+  if (sync_ == nullptr) {
+    // The first request starts the sync thread (ADIOI_Sync_thread_start):
+    // a rank that caches nothing, like a two-phase non-aggregator, never
+    // pays for one. Its worker starts at the clock of this hand-over.
+    sync_ = std::make_unique<SyncThread>(
+        engine_, local_fs_, cache_handle_, pfs_, global_handle_,
+        params_.global_path, locks_, params_.drain, params_.retry,
+        journaling() ? std::optional(commits_handle_) : std::nullopt,
+        params_.metrics, params_.tracer, params_.rank);
+  }
+  sync_->enqueue(std::move(request));
 }
 
 bool CacheFile::crash_now(bool in_flush) {
@@ -247,7 +256,7 @@ Result<Time> CacheFile::iwrite(const Extent& global, const DataView& data) {
   request.release_lock = params_.coherent;
   outstanding_.push_back(request.grequest);
   if (params_.flush == FlushPolicy::immediate) {
-    sync_->enqueue(std::move(request));
+    hand_over(std::move(request));
   } else {
     deferred_.push_back(std::move(request));
   }
@@ -296,11 +305,12 @@ Status CacheFile::flush() {
                              " crashed during flush");
   }
   for (SyncRequest& request : deferred_) {
-    sync_->enqueue(std::move(request));
+    hand_over(std::move(request));
   }
   deferred_.clear();
   mpi::Request::wait_all(outstanding_);
   outstanding_.clear();
+  if (sync_ == nullptr) return Status::ok();  // nothing was handed over
   // Abandoned extents completed their grequests (so the wait above cannot
   // hang) but never became durable; surface each batch exactly once. The
   // worker may still be running, so go through the locked accessor.
@@ -320,8 +330,13 @@ Status CacheFile::close() {
   Status first = flush();
   if (closed_) return first;  // the flush hit a crash spec; already torn down
   // A flush error (abandoned extents) must not leak the sync thread or the
-  // handles — teardown always runs, the first error is reported.
-  sync_->shutdown_and_join();
+  // handles — teardown always runs, the first error is reported. A thread
+  // that never started still reports its (zero) totals.
+  if (sync_ != nullptr) {
+    sync_->shutdown_and_join();
+  } else {
+    fold_sync_totals(engine_, params_.metrics);
+  }
   const auto keep_first = [&first](const Status& s) {
     if (first.is_ok() && !s.is_ok()) first = s;
   };
@@ -348,7 +363,11 @@ void CacheFile::simulate_crash() {
   // The worker stops doing I/O and only completes/releases what is queued;
   // never-dispatched deferred requests are completed here for the same
   // reason — nothing may block on a dead rank.
-  sync_->cancel_drain_and_join();
+  if (sync_ != nullptr) {
+    sync_->cancel_drain_and_join();
+  } else {
+    fold_sync_totals(engine_, params_.metrics);
+  }
   for (SyncRequest& request : deferred_) {
     if (request.release_lock && locks_ != nullptr) {
       locks_->unlock(params_.global_path, request.global);

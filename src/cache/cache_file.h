@@ -7,7 +7,8 @@
 // generalized MPI request is created for every written extent
 // (ADIOI_GEN_WriteContig). Depending on the flush policy, requests are
 // dispatched to the background SyncThread immediately or at flush/close
-// time (ADIOI_GEN_Flush / ADIO_Close).
+// time (ADIOI_GEN_Flush / ADIO_Close). The first dispatched request starts
+// that thread, so a rank that never hands one over never runs one.
 //
 // Robustness (the paper's durability argument, §III): with journaling
 // enabled each write also appends a WriteRecord to a sidecar journal, so
@@ -83,10 +84,12 @@ struct RecoveryReport {
 
 class CacheFile {
  public:
-  /// Opens (creates) the cache file and its journal sidecars, then starts
-  /// the sync thread. Fails with invalid_argument on bad params, or when
-  /// the local file system cannot host the cache file — the caller then
-  /// reverts to standard (uncached) operation, as the paper's OpenColl does.
+  /// Opens (creates) the cache file and its journal sidecars; the sync
+  /// thread starts with the first request handed over to it (in iwrite()
+  /// under flush_immediate, in flush() under flush_onclose). Fails with
+  /// invalid_argument on bad params, or when the local file system cannot
+  /// host the cache file — the caller then reverts to standard (uncached)
+  /// operation, as the paper's OpenColl does.
   static Result<std::unique_ptr<CacheFile>> open(sim::Engine& engine,
                                                  lfs::LocalFs& local_fs,
                                                  pfs::Pfs& pfs,
@@ -159,7 +162,11 @@ class CacheFile {
     return cache_path + ".commits";
   }
 
-  const SyncStats& sync_stats() const { return sync_->stats(); }
+  /// The sync thread's counters; zeros while no request has started it.
+  const SyncStats& sync_stats() const {
+    static const SyncStats kNotStarted;
+    return sync_ != nullptr ? sync_->stats() : kNotStarted;
+  }
   const CacheFileParams& params() const { return params_; }
   bool closed() const { return closed_; }
   bool crashed() const { return crashed_; }
@@ -174,16 +181,21 @@ class CacheFile {
             lfs::FileHandle journal_handle, lfs::FileHandle commits_handle);
 
   Status ensure_allocated(Offset needed_end);
+  /// Dispatches a request to the sync thread, starting the thread on the
+  /// first one.
+  void hand_over(SyncRequest request);
   /// Quarantine bookkeeping for a failed local-device operation.
   void note_device_error(Errc code);
   bool crash_now(bool in_flush);
 
   sim::Engine& engine_;
   lfs::LocalFs& local_fs_;
+  pfs::Pfs& pfs_;
+  pfs::FileHandle global_handle_;
   CacheFileParams params_;
   LockTable* locks_;
   lfs::FileHandle cache_handle_;
-  std::unique_ptr<SyncThread> sync_;
+  std::unique_ptr<SyncThread> sync_;  // null until the first hand-over
   Offset append_cursor_ = 0;
   Offset allocated_ = 0;
   // Layout map: global-file offset -> location in the cache file. Later

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "cache/journal.h"
 #include "common/log.h"
@@ -86,6 +87,46 @@ std::uint64_t SyncThread::abandoned_count() {
   return stats_.abandoned;
 }
 
+void fold_sync_totals(sim::Engine& engine, obs::MetricsRegistry* metrics,
+                      const SyncStats& totals, const FlushSchedulerStats& sched,
+                      const sim::OverlapAccumulator& window) {
+  if (metrics == nullptr) return;
+  // Gauges keep the max across threads via their high-water mark. The
+  // registry itself is engine-atomic shared state: claim its monitor for
+  // the checker.
+  const sim::MonitorGuard monitor(engine, metrics, obs::names::kMetricsMonitor);
+  sim::shared_access(engine, metrics, obs::names::kMetricsRegistryVar,
+                     /*is_write=*/true, E10_SITE);
+  namespace names = obs::names;
+  metrics->counter(names::kSyncRequests)
+      .add(static_cast<std::int64_t>(totals.requests));
+  metrics->counter(names::kSyncBytes).add(totals.bytes_synced);
+  metrics->counter(names::kSyncChunks)
+      .add(static_cast<std::int64_t>(totals.staging_chunks));
+  metrics->counter(names::kSyncRetries)
+      .add(static_cast<std::int64_t>(totals.retries));
+  metrics->counter(names::kSyncRequeues)
+      .add(static_cast<std::int64_t>(totals.requeues));
+  metrics->counter(names::kSyncAbandoned)
+      .add(static_cast<std::int64_t>(totals.abandoned));
+  metrics->counter(names::kSyncBusyNs).add(totals.busy_time);
+  metrics->gauge(names::kSyncQueueDepth)
+      .set(static_cast<std::int64_t>(totals.queue_depth_high_water));
+  // Flush-scheduler totals: coalescing shape and the stream window's
+  // write/hidden/stall split (docs/flush_scheduler.md).
+  metrics->counter(names::kSyncBatches)
+      .add(static_cast<std::int64_t>(sched.batches));
+  metrics->counter(names::kSyncBatchMembers)
+      .add(static_cast<std::int64_t>(sched.members));
+  metrics->counter(names::kSyncStreamWriteNs).add(window.service_time());
+  metrics->counter(names::kSyncStreamHiddenNs).add(window.hidden_time());
+  metrics->counter(names::kSyncStreamStalls)
+      .add(static_cast<std::int64_t>(window.stalls()));
+  metrics->counter(names::kSyncStreamStallNs).add(window.stall_time());
+  metrics->gauge(names::kSyncStreamInflight)
+      .set(static_cast<std::int64_t>(sched.inflight_high_water));
+}
+
 void SyncThread::fold_stats_and_join() {
   {
     const sim::MonitorGuard monitor(engine_, &inbox_, inbox_monitor_name_);
@@ -97,44 +138,8 @@ void SyncThread::fold_stats_and_join() {
   handle_.join();
   handle_ = sim::ProcessHandle();
   if (metrics_ != nullptr) {
-    const SyncStats totals = stats_snapshot();
-    // Fold this thread's totals into the shared registry; gauges keep the
-    // max across threads via their high-water mark. The registry itself is
-    // engine-atomic shared state: claim its monitor for the checker.
-    const sim::MonitorGuard monitor(engine_, metrics_,
-                                    obs::names::kMetricsMonitor);
-    sim::shared_access(engine_, metrics_, obs::names::kMetricsRegistryVar,
-                       /*is_write=*/true, E10_SITE);
-    namespace names = obs::names;
-    metrics_->counter(names::kSyncRequests)
-        .add(static_cast<std::int64_t>(totals.requests));
-    metrics_->counter(names::kSyncBytes).add(totals.bytes_synced);
-    metrics_->counter(names::kSyncChunks)
-        .add(static_cast<std::int64_t>(totals.staging_chunks));
-    metrics_->counter(names::kSyncRetries)
-        .add(static_cast<std::int64_t>(totals.retries));
-    metrics_->counter(names::kSyncRequeues)
-        .add(static_cast<std::int64_t>(totals.requeues));
-    metrics_->counter(names::kSyncAbandoned)
-        .add(static_cast<std::int64_t>(totals.abandoned));
-    metrics_->counter(names::kSyncBusyNs).add(totals.busy_time);
-    metrics_->gauge(names::kSyncQueueDepth)
-        .set(static_cast<std::int64_t>(totals.queue_depth_high_water));
-    // Flush-scheduler totals: coalescing shape and the stream window's
-    // write/hidden/stall split (docs/flush_scheduler.md).
-    const FlushSchedulerStats& sched = scheduler_.stats();
-    const sim::OverlapAccumulator& window = scheduler_.overlap();
-    metrics_->counter(names::kSyncBatches)
-        .add(static_cast<std::int64_t>(sched.batches));
-    metrics_->counter(names::kSyncBatchMembers)
-        .add(static_cast<std::int64_t>(sched.members));
-    metrics_->counter(names::kSyncStreamWriteNs).add(window.service_time());
-    metrics_->counter(names::kSyncStreamHiddenNs).add(window.hidden_time());
-    metrics_->counter(names::kSyncStreamStalls)
-        .add(static_cast<std::int64_t>(window.stalls()));
-    metrics_->counter(names::kSyncStreamStallNs).add(window.stall_time());
-    metrics_->gauge(names::kSyncStreamInflight)
-        .set(static_cast<std::int64_t>(sched.inflight_high_water));
+    fold_sync_totals(engine_, metrics_, stats_snapshot(), scheduler_.stats(),
+                     scheduler_.overlap());
   }
 }
 
@@ -179,9 +184,13 @@ SyncThread::Gather SyncThread::gather_batch(std::vector<SyncRequest>& batch,
       E10_SHARED_WRITE(inbox_var_);
       return inbox_.recv();
     }();
-    // The idle inbox wait ended because this request was enqueued.
+    // The idle inbox wait ended because this request was enqueued. The
+    // request that started the thread was queued before the worker first
+    // ran, so that receive never waits; it gated the drain all the same.
+    const bool started_by_it = std::exchange(first_receive_, false);
     if (sim::CausalObserver* causal = engine_.causal_observer();
-        causal != nullptr && first.cause != 0 && engine_.now() > before) {
+        causal != nullptr && first.cause != 0 &&
+        (engine_.now() > before || started_by_it)) {
       causal->ack(first.cause, engine_.current(), engine_.now());
     }
     if (first.shutdown) return Gather::kShutdown;

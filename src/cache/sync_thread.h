@@ -1,7 +1,8 @@
 // Background cache synchronisation (ADIOI_Sync_thread_start, paper §III-A).
 //
-// One SyncThread runs per open cached file per rank, as a dedicated
-// simulated process (the paper uses a POSIX thread). It consumes sync
+// One SyncThread runs per open cached file per rank that hands the file a
+// sync request, as a dedicated simulated process (the paper uses a POSIX
+// thread); CacheFile builds it with the first request. It consumes sync
 // requests from a queue and drains them through the FlushScheduler
 // (flush_scheduler.h): adjacent requests coalesce into batches, each batch
 // is split into stripe-aligned staging dispatches, and up to
@@ -41,6 +42,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pfs/pfs.h"
+#include "sim/async.h"
 #include "sim/concurrency.h"
 #include "sim/engine.h"
 #include "sim/fifo.h"
@@ -48,6 +50,15 @@
 #include "sim/sync.h"
 
 namespace e10::cache {
+
+/// Folds one sync thread's totals into `metrics` (null: nothing) under the
+/// cache.sync.* names. A cached file whose thread never started folds the
+/// zero defaults, so the report carries every key whether or not the file
+/// synced anything.
+void fold_sync_totals(sim::Engine& engine, obs::MetricsRegistry* metrics,
+                      const SyncStats& totals = {},
+                      const FlushSchedulerStats& sched = {},
+                      const sim::OverlapAccumulator& window = {});
 
 class SyncThread {
  public:
@@ -170,6 +181,9 @@ class SyncThread {
   sim::Fifo<DeferredBatch> deferred_;
   bool shutdown_seen_ = false;  // sentinel drained while gathering
   bool cancelled_ = false;      // set by cancel_drain_and_join()
+  /// The first receive takes the request that started the thread; it acks
+  /// that enqueue although it never waited for it.
+  bool first_receive_ = true;
   std::optional<lfs::FileHandle> commits_handle_;
   Offset commits_cursor_ = 0;
   obs::MetricsRegistry* metrics_;

@@ -140,9 +140,16 @@ DataView DataView::slice(Offset offset, Offset length) const {
   }
   if (inline_run()) return synthetic(seed_, origin_ + offset, length);
   DataView out;
+  out.append_slice(*this, offset, length);
+  return out;
+}
+
+void DataView::append_slice(const DataView& from, Offset offset,
+                            Offset length) {
   Offset skip = offset;
   Offset remaining = length;
-  for (const Segment& seg : segments_) {
+  Segment scratch;
+  for (const Segment& seg : from.segments(scratch)) {
     if (remaining == 0) break;
     if (skip >= seg.length) {
       skip -= seg.length;
@@ -155,11 +162,10 @@ DataView DataView::slice(Offset offset, Offset length) const {
       piece.origin += skip;
     }
     piece.length = std::min(remaining, seg.length - skip);
-    out.append(piece);
+    append(piece);
     remaining -= piece.length;
     skip = 0;
   }
-  return out;
 }
 
 bool DataView::extend_if_continued(const DataView& next) {
@@ -316,7 +322,14 @@ void ByteStore::consolidate() const {
 DataView ByteStore::read(Offset offset, Offset length) const {
   if (length <= 0) return DataView();
   consolidate();
-  std::vector<DataView> parts;
+  // The covered slices append straight into the result, which merges
+  // continuing ones as DataView::concat would.
+  DataView out;
+  const auto append_zeros = [&out](Offset count) {
+    const DataView zeros = DataView::real(
+        std::vector<std::byte>(static_cast<std::size_t>(count), std::byte{0}));
+    out.append_slice(zeros, 0, count);
+  };
   Offset cursor = offset;
   const Offset end = offset + length;
   auto it = std::lower_bound(
@@ -331,22 +344,16 @@ DataView ByteStore::read(Offset offset, Offset length) const {
     const Offset seg_end = start + it->view.size();
     if (seg_end <= cursor) continue;
     if (start > cursor) {
-      // Unwritten gap reads as zeros.
-      parts.push_back(DataView::real(std::vector<std::byte>(
-          static_cast<std::size_t>(start - cursor), std::byte{0})));
+      append_zeros(start - cursor);  // an unwritten gap reads as zeros
       cursor = start;
     }
     const Offset lo = std::max(start, cursor);
     const Offset hi = std::min(seg_end, end);
-    parts.push_back(it->view.slice(lo - start, hi - lo));
+    out.append_slice(it->view, lo - start, hi - lo);
     cursor = hi;
   }
-  if (cursor < end) {
-    parts.push_back(DataView::real(std::vector<std::byte>(
-        static_cast<std::size_t>(end - cursor), std::byte{0})));
-  }
-  if (parts.size() == 1) return parts[0];
-  return DataView::concat(parts);
+  if (cursor < end) append_zeros(end - cursor);
+  return out;
 }
 
 std::byte ByteStore::byte_at(Offset pos) const {

@@ -103,7 +103,7 @@ class DataView {
   static std::byte pattern_byte(std::uint64_t seed, Offset position);
 
  private:
-  friend class ByteStore;  // hashes the rope's segments
+  friend class ByteStore;  // hashes the rope's segments, appends its reads
 
   struct Segment {
     std::shared_ptr<const std::vector<std::byte>> buffer;  // null => synthetic
@@ -126,6 +126,9 @@ class DataView {
   /// Appends a non-empty segment, merging it into the last one when it
   /// continues it; a lone synthetic run stays inline.
   void append(const Segment& seg);
+  /// Appends `from[offset, offset+length)` segment by segment (the range
+  /// must lie inside `from`).
+  void append_slice(const DataView& from, Offset offset, Offset length);
 
   // Either one synthetic run inline (segments_ empty; seed_, origin_ and
   // length_ describe it) or a rope of real and/or several runs in

@@ -59,6 +59,8 @@ void Pfs::set_fault_injector(fault::FaultInjector* fault) {
 
 Status Pfs::check_data_faults(const OpenFile& file, const Inode& inode,
                               const Extent& extent, bool write) {
+  // Unarmed, neither hook can fire: skip the stripe walk and its chunk list.
+  if (!fault_->armed()) return Status::ok();
   if (Status s = fault_->check(write ? fault::FaultOp::pfs_write
                                      : fault::FaultOp::pfs_read);
       !s) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "obs/causal.h"
+#include "obs/metrics.h"
 
 namespace e10::cache {
 namespace {
@@ -282,6 +284,116 @@ TEST(CacheFile, ManyExtentsSyncInOrderAndCompletely) {
   for (Offset pos = 0; pos < 32 * KiB; pos += 1111) {
     EXPECT_EQ(global->byte_at(pos), DataView::pattern_byte(5, pos));
   }
+}
+
+TEST(CacheFile, OpenAndCloseWithoutWritesStartsNoSyncThread) {
+  // Only a rank that hands its cache a request runs a sync thread. One that
+  // never does still reports every cache.sync.* total, at zero.
+  Fixture f;
+  obs::MetricsRegistry metrics;
+  f.run([&] {
+    const auto handle = f.open_global();
+    CacheFileParams params = f.params(FlushPolicy::immediate);
+    params.metrics = &metrics;
+    auto cache = CacheFile::open(f.engine, f.local_fs, f.pfs, handle, params,
+                                 &f.locks);
+    ASSERT_TRUE(cache.is_ok());
+    ASSERT_TRUE(cache.value()->flush());
+    ASSERT_TRUE(cache.value()->close());
+    EXPECT_EQ(cache.value()->sync_stats().requests, 0u);
+  });
+  EXPECT_EQ(f.engine.stats().spawned, 1u);  // the app process alone
+  namespace names = obs::names;
+  for (const char* name :
+       {names::kSyncRequests, names::kSyncBytes, names::kSyncChunks,
+        names::kSyncRetries, names::kSyncRequeues, names::kSyncAbandoned,
+        names::kSyncBusyNs, names::kSyncBatches, names::kSyncBatchMembers,
+        names::kSyncStreamWriteNs, names::kSyncStreamHiddenNs,
+        names::kSyncStreamStalls, names::kSyncStreamStallNs}) {
+    const obs::Counter* counter = metrics.find_counter(name);
+    ASSERT_NE(counter, nullptr) << name;
+    EXPECT_EQ(counter->value(), 0) << name;
+  }
+  for (const char* name :
+       {names::kSyncQueueDepth, names::kSyncStreamInflight}) {
+    const obs::Gauge* gauge = metrics.find_gauge(name);
+    ASSERT_NE(gauge, nullptr) << name;
+    EXPECT_EQ(gauge->high_water(), 0) << name;
+  }
+}
+
+TEST(CacheFile, FirstImmediateWriteStartsTheSyncThread) {
+  Fixture f;
+  f.run([&] {
+    const auto handle = f.open_global();
+    auto cache = CacheFile::open(f.engine, f.local_fs, f.pfs, handle,
+                                 f.params(FlushPolicy::immediate), &f.locks);
+    ASSERT_TRUE(cache.is_ok());
+    EXPECT_EQ(f.engine.stats().spawned, 1u);
+    for (Offset i = 0; i < 4; ++i) {
+      ASSERT_TRUE(cache.value()->write(
+          {i * 64 * KiB, 64 * KiB},
+          DataView::synthetic(77, i * 64 * KiB, 64 * KiB)));
+      EXPECT_EQ(f.engine.stats().spawned, 2u) << "after write " << i;
+    }
+    ASSERT_TRUE(cache.value()->close());
+    EXPECT_EQ(cache.value()->sync_stats().bytes_synced, 256 * KiB);
+  });
+  EXPECT_EQ(f.engine.stats().spawned, 2u);
+}
+
+TEST(CacheFile, OncloseStartsTheSyncThreadInFlush) {
+  Fixture f;
+  f.run([&] {
+    const auto handle = f.open_global();
+    auto cache = CacheFile::open(f.engine, f.local_fs, f.pfs, handle,
+                                 f.params(FlushPolicy::onclose), &f.locks);
+    ASSERT_TRUE(cache.is_ok());
+    ASSERT_TRUE(cache.value()->write({0, 1 * MiB}, pattern(1 * MiB)));
+    ASSERT_TRUE(cache.value()->write(
+        {1 * MiB, 1 * MiB}, DataView::synthetic(77, 1 * MiB, 1 * MiB)));
+    EXPECT_EQ(f.engine.stats().spawned, 1u);  // both requests deferred
+    ASSERT_TRUE(cache.value()->flush());
+    EXPECT_EQ(f.engine.stats().spawned, 2u);
+    ASSERT_TRUE(cache.value()->close());
+    EXPECT_EQ(cache.value()->sync_stats().bytes_synced, 2 * MiB);
+  });
+  EXPECT_EQ(f.engine.stats().spawned, 2u);
+  EXPECT_EQ(f.pfs.peek("/pfs/global")->extent_end(), 2 * MiB);
+}
+
+TEST(CacheFile, FirstDrainAcksTheEnqueueThatStartedIt) {
+  // The worker's first receive never waits: its request was queued before
+  // the worker first ran. That enqueue still gates the drain, so the
+  // critical path must be able to step from the drain back to the rank.
+  Fixture f;
+  obs::CausalRecorder recorder(f.engine);
+  sim::ProcessId app = 0;
+  f.run([&] {
+    app = f.engine.current();
+    const auto handle = f.open_global();
+    auto cache = CacheFile::open(f.engine, f.local_fs, f.pfs, handle,
+                                 f.params(FlushPolicy::immediate), &f.locks);
+    ASSERT_TRUE(cache.is_ok());
+    ASSERT_TRUE(cache.value()->write({0, 1 * MiB}, pattern(1 * MiB)));
+    ASSERT_TRUE(cache.value()->close());
+  });
+  std::size_t enqueues = 0;
+  for (const auto& emission : recorder.emissions()) {
+    if (emission.kind != sim::EdgeKind::sync_queue) continue;
+    ++enqueues;
+    EXPECT_EQ(emission.pid, app);
+  }
+  ASSERT_EQ(enqueues, 1u);
+  std::size_t acks = 0;
+  for (const auto& ack : recorder.acks()) {
+    const auto& source = recorder.source_of(ack);
+    if (source.kind != sim::EdgeKind::sync_queue) continue;
+    ++acks;
+    EXPECT_NE(ack.pid, app);  // the sync thread
+    EXPECT_EQ(ack.at, source.at);
+  }
+  EXPECT_EQ(acks, 1u);
 }
 
 }  // namespace

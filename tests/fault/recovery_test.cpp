@@ -220,6 +220,39 @@ TEST(Recovery, CrashDuringFlushThenReplayMatchesCleanRun) {
   expect_expected_content(clean.pfs.peek("/pfs/global"));
 }
 
+TEST(Recovery, CrashBeforeAnyHandOverStartsNoThreadAndReplays) {
+  // Under flush_onclose nothing reaches the sync thread before flush(), so
+  // a rank that crashes first never started one: the crash completes the
+  // deferred requests itself and the journal still replays every extent.
+  Fixture f;
+  obs::MetricsRegistry metrics;
+  f.run([&] {
+    const auto handle = f.open_global();
+    CacheFileParams p = f.params(FlushPolicy::onclose);
+    p.journal = true;
+    p.metrics = &metrics;
+    auto opened =
+        CacheFile::open(f.engine, f.local_fs, f.pfs, handle, p, &f.locks);
+    ASSERT_TRUE(opened.is_ok());
+    CacheFile& cache = *opened.value();
+    do_writes(cache);
+    cache.simulate_crash();
+    EXPECT_TRUE(cache.crashed());
+    EXPECT_TRUE(cache.closed());
+    EXPECT_EQ(f.engine.stats().spawned, 1u);  // the app process alone
+    EXPECT_EQ(f.pfs.peek("/pfs/global")->extent_end(), 0);
+
+    const auto report = CacheFile::recover(f.local_fs, f.pfs, handle,
+                                           "/scratch/global.cache.0");
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    EXPECT_EQ(report.value().committed, 0u);
+    EXPECT_EQ(report.value().replayed_extents, 3u);
+  });
+  ASSERT_NE(metrics.find_counter(obs::names::kSyncRequests), nullptr);
+  EXPECT_EQ(metrics.counter_value(obs::names::kSyncRequests), 0);
+  expect_expected_content(f.pfs.peek("/pfs/global"));
+}
+
 TEST(Recovery, ReplaySkipsCommittedSeqs) {
   // Hand-build a crashed cache: two journaled writes, the first committed.
   Fixture f;

@@ -48,20 +48,20 @@ constexpr GoldenRow kGolden[] = {
     {4, 256 * KiB, CacheCase::disabled, 2638995, "169560a983cd5a04", 248},
     {8, 64 * KiB, CacheCase::disabled, 2863049, "169560a983cd5a04", 277},
     {8, 256 * KiB, CacheCase::disabled, 2638995, "169560a983cd5a04", 248},
-    {2, 64 * KiB, CacheCase::enabled, 18869445, "169560a983cd5a04", 404},
-    {2, 256 * KiB, CacheCase::enabled, 3961843, "169560a983cd5a04", 324},
-    {4, 64 * KiB, CacheCase::enabled, 30371591, "169560a983cd5a04", 380},
-    {4, 256 * KiB, CacheCase::enabled, 12612815, "169560a983cd5a04", 347},
-    {8, 64 * KiB, CacheCase::enabled, 30371591, "169560a983cd5a04", 380},
-    {8, 256 * KiB, CacheCase::enabled, 12612815, "169560a983cd5a04", 347},
+    {2, 64 * KiB, CacheCase::enabled, 18869445, "169560a983cd5a04", 364},
+    {2, 256 * KiB, CacheCase::enabled, 3961843, "169560a983cd5a04", 284},
+    {4, 64 * KiB, CacheCase::enabled, 30371591, "169560a983cd5a04", 348},
+    {4, 256 * KiB, CacheCase::enabled, 12612815, "169560a983cd5a04", 315},
+    {8, 64 * KiB, CacheCase::enabled, 30371591, "169560a983cd5a04", 348},
+    {8, 256 * KiB, CacheCase::enabled, 12612815, "169560a983cd5a04", 315},
     // The theoretical case never flushes, so no byte reaches the PFS: its
     // global files stay empty, one fingerprint unlike the flushed cases'.
-    {2, 64 * KiB, CacheCase::theoretical, 3834093, "9c15e867730a4f72", 388},
-    {2, 256 * KiB, CacheCase::theoretical, 3961843, "9c15e867730a4f72", 316},
-    {4, 64 * KiB, CacheCase::theoretical, 3098801, "9c15e867730a4f72", 364},
-    {4, 256 * KiB, CacheCase::theoretical, 3098803, "9c15e867730a4f72", 336},
-    {8, 64 * KiB, CacheCase::theoretical, 3098801, "9c15e867730a4f72", 364},
-    {8, 256 * KiB, CacheCase::theoretical, 3098803, "9c15e867730a4f72", 336},
+    {2, 64 * KiB, CacheCase::theoretical, 3834093, "9c15e867730a4f72", 340},
+    {2, 256 * KiB, CacheCase::theoretical, 3961843, "9c15e867730a4f72", 268},
+    {4, 64 * KiB, CacheCase::theoretical, 3098801, "9c15e867730a4f72", 316},
+    {4, 256 * KiB, CacheCase::theoretical, 3098803, "9c15e867730a4f72", 288},
+    {8, 64 * KiB, CacheCase::theoretical, 3098801, "9c15e867730a4f72", 316},
+    {8, 256 * KiB, CacheCase::theoretical, 3098803, "9c15e867730a4f72", 288},
 };
 
 ExperimentResult run_row(const GoldenRow& row) {
